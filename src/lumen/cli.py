@@ -11,9 +11,9 @@ import numpy as np
 
 from . import zoo
 from .core import decomposition_to_text, tensor_of_decomposition, MultiplyCounter
-from .efficacy import (StochasticPair, design_q_matrices, eff_table,
-                       exponent_bound, optimize_gamma, omega_rho_t2112,
-                       rho_joint_matrix, t2112_optimal_a)
+from .efficacy import (design_q_matrices, eff_table, exponent_bound,
+                       optimize_gamma, omega_rho_t2112, rho_joint_matrix,
+                       t2112_flip_pair)
 from .harness import cmd_exponents, cmd_success_curve, cmd_verify
 from .instances import gen_planted, read_instance, write_instance
 from .solver import lemma_checks, plan_lsh, plan_uniform, solve_lsh, solve_uniform
@@ -66,7 +66,6 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lsh", action="store_true")
     p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--majority", type=int, default=None)
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--json", dest="json_out", default=None)
 
@@ -142,10 +141,8 @@ def main(argv=None) -> int:
             from .efficacy import gamma as gamma_fn, uniform_pair
             rho = args.rho if args.rho is not None else 0.0
             if rho > 0 and args.tensor == "t2112":
-                a = t2112_optimal_a(rho)
-                Q = np.array([[1 - a, a], [a, 1 - a]])
-                qp = StochasticPair(Q, Q.copy())
-                g = gamma_fn(qp, zoo.t2112_limit_tensor(), rho_joint_matrix(rho))
+                g = gamma_fn(t2112_flip_pair(rho), zoo.t2112_limit_tensor(),
+                             rho_joint_matrix(rho))
                 expo_out = omega_rho_t2112(rho)
             else:
                 g = gamma_fn(uniform_pair(t.shape.q_i), t,
@@ -177,31 +174,30 @@ def main(argv=None) -> int:
         decomp = zoo.zoo_decomposition(args.tensor, args.eps)
         if args.path:
             inst = read_instance(args.path, load_sidecar=True)
+            if inst.q != 2:
+                print(f"{args.path}: the solvers need a q=2 instance, "
+                      f"this one has q={inst.q}", file=sys.stderr)
+                return 2
         else:
             inst = gen_planted(args.n, args.d, args.rho, args.seed)
         counter = MultiplyCounter()
         t0 = time.perf_counter()
         if args.lsh:
-            a = t2112_optimal_a(inst.rho)
-            Q = np.array([[1 - a, a], [a, 1 - a]])
-            qp = StochasticPair(Q, Q.copy())
-            plan = plan_lsh(inst.n, rho_joint_matrix(inst.rho), decomp, qp,
-                            d=inst.d, reps=args.reps, majority=args.majority,
-                            detect_sigma=args.sigma)
+            plan = plan_lsh(inst.n, rho_joint_matrix(inst.rho), decomp,
+                            t2112_flip_pair(inst.rho), d=inst.d,
+                            reps=args.reps, detect_sigma=args.sigma)
             rep = solve_lsh(inst, decomp, plan=plan, seed=args.seed,
                             counter=counter)
         else:
             plan = plan_uniform(inst.n, inst.rho, decomp, d=inst.d,
-                                reps=args.reps, majority=args.majority,
-                                detect_sigma=args.sigma)
+                                reps=args.reps, detect_sigma=args.sigma)
             rep = solve_uniform(inst, decomp, plan=plan, seed=args.seed,
                                 counter=counter)
         wall = time.perf_counter() - t0
         out = {
             "plan": {"N": plan.N, "m": plan.m, "t": plan.t, "g": plan.g,
-                     "reps": plan.reps, "majority": plan.majority,
-                     "detect_sigma": plan.detect_sigma, "r": plan.r,
-                     "rho_det": plan.rho_det, "kernel": plan.kernel,
+                     "reps": plan.reps, "detect_sigma": plan.detect_sigma,
+                     "r": plan.r, "rho_det": plan.rho_det, "kernel": plan.kernel,
                      "symmetrized": plan.symmetrized, "lsh": plan.lsh,
                      "exponent": plan.exponent, "notes": plan.notes},
             "found": rep.found,

@@ -24,6 +24,7 @@ __all__ = [
     "p_eff",
     "rho_joint_matrix",
     "t2112_optimal_a",
+    "t2112_flip_pair",
     "omega_rho_t2112",
     "dubiner_exponent",
     "optimize_gamma",
@@ -182,6 +183,14 @@ def t2112_optimal_a(rho: float) -> float:
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     return max(0.0, (1.0 - np.sqrt(3.0 * rho)) / 2.0)
+
+
+def t2112_flip_pair(rho: float) -> StochasticPair:
+    """The symmetric bit-flip pair Q_x = Q_y that flips each symbol with the
+    optimal probability t2112_optimal_a(rho)."""
+    a = t2112_optimal_a(rho)
+    Q = np.array([[1 - a, a], [a, 1 - a]])
+    return StochasticPair(Q, Q.copy())
 
 
 def omega_rho_t2112(rho: float) -> float:

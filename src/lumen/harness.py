@@ -1,5 +1,5 @@
 """Experiment orchestration: exponent curves, success grids, verification
-summary, deterministic seed derivation, CSV/JSON emission."""
+summary, CSV/JSON emission."""
 
 from __future__ import annotations
 
@@ -9,24 +9,20 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import MultiplyCounter, tensor_of_decomposition, apply_recursive, apply_direct, tensor_power
 from .efficacy import (dubiner_exponent, eff_table, exponent_bound,
-                       omega_rho_t2112, rho_joint_matrix, t2112_optimal_a,
-                       StochasticPair)
+                       omega_rho_t2112, rho_joint_matrix, t2112_flip_pair)
 from .instances import gen_planted
 from .solver import lemma_checks, plan_lsh, plan_uniform, solve_lsh, solve_uniform
 from . import zoo
 
 __all__ = [
-    "derive_seed",
     "cmd_exponents",
     "cmd_success_curve",
     "cmd_verify",
-    "ResultRow",
     "EXPONENTS_HEADER",
     "SUCCESS_HEADER",
     "default_jobs",
@@ -35,28 +31,6 @@ __all__ = [
 EXPONENTS_HEADER = ["rho", "omega_lsh_t2112", "omega_uniform_t2112", "omega_dubiner"]
 SUCCESS_HEADER = ["tensor", "eps", "rho", "n", "N", "g", "seeds", "successes",
                   "rate", "wilson_lo", "wilson_hi", "mean_rounds", "multiply_count"]
-
-
-@dataclass
-class ResultRow:
-    experiment: str
-    tensor: str
-    eps: float
-    rho: float
-    n: int
-    N: int
-    g: float
-    success: bool
-    wall_time: float
-    multiply_count: int
-    max_hits: int
-    rounds: int
-
-
-def derive_seed(master: int, stream: str, k: int) -> np.random.SeedSequence:
-    """Counter-based spawn so concurrent trials stay deterministic."""
-    h = abs(hash((stream, k))) % (1 << 32)
-    return np.random.SeedSequence(entropy=master, spawn_key=(h, k))
 
 
 def default_jobs() -> int:
@@ -116,20 +90,17 @@ def cmd_exponents(rhos=None, out=None) -> str:
 # ---------------------------------------------------------------------------
 
 def _one_solve(args):
-    (tensor, eps, n, d, rho, seed, reps, majority, lsh, null) = args
+    (tensor, eps, n, d, rho, seed, reps, lsh, null) = args
     decomp = zoo.zoo_decomposition(tensor, eps)
     inst = gen_planted(n, d, rho, seed=seed, planted=not null)
     counter = MultiplyCounter()
     t0 = time.perf_counter()
     if lsh:
-        a = t2112_optimal_a(rho)
-        Q = np.array([[1 - a, a], [a, 1 - a]])
-        qp = StochasticPair(Q, Q.copy())
-        plan = plan_lsh(n, rho_joint_matrix(rho), decomp, qp, d=d,
-                        reps=reps, majority=majority)
+        plan = plan_lsh(n, rho_joint_matrix(rho), decomp,
+                        t2112_flip_pair(rho), d=d, reps=reps)
         rep = solve_lsh(inst, decomp, plan=plan, seed=seed, counter=counter)
     else:
-        plan = plan_uniform(n, rho, decomp, d=d, reps=reps, majority=majority)
+        plan = plan_uniform(n, rho, decomp, d=d, reps=reps)
         rep = solve_uniform(inst, decomp, plan=plan, seed=seed, counter=counter)
     wall = time.perf_counter() - t0
     if null:
@@ -143,8 +114,7 @@ def _one_solve(args):
 
 def cmd_success_curve(tensor: str, n_list, rho_list, seeds: int = 20,
                       eps: float = zoo.DEFAULT_EPS, d: int | None = None,
-                      reps: int | None = None, majority: int | None = None,
-                      lsh: bool = False, null: bool = False,
+                      reps: int | None = None, lsh: bool = False, null: bool = False,
                       jobs: int | None = None, out=None):
     """Per-(n, rho) success rates with Wilson intervals, optionally parallel
     over grid cells."""
@@ -155,7 +125,7 @@ def cmd_success_curve(tensor: str, n_list, rho_list, seeds: int = 20,
         for rho in rho_list:
             for s in range(seeds):
                 tasks.append((tensor, eps, n, dd, rho, 10_000 + s, reps,
-                              majority, lsh, null))
+                              lsh, null))
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             results = list(ex.map(_one_solve, tasks, chunksize=1))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import struct
 from dataclasses import dataclass
 from itertools import combinations
@@ -62,11 +63,6 @@ class Instance:
         if self.q != 2:
             raise ValueError("sign view only exists for q = 2")
         return 1.0 - 2.0 * self.Y
-
-
-def rho_to_joint(rho: float) -> np.ndarray:
-    return np.array([[(1 + rho) / 4, (1 - rho) / 4],
-                     [(1 - rho) / 4, (1 + rho) / 4]])
 
 
 def gen_planted(n: int, d: int, rho: float, seed: int,
@@ -273,11 +269,6 @@ def expand_vectors(bits: np.ndarray, r: int, m: int, offset: int = 0,
     return h1[:, a] ^ h2[:, b]
 
 
-def expanded_signs(bits: np.ndarray, r: int, m: int, offset: int = 0,
-                   family: SplitFamily | None = None) -> np.ndarray:
-    return (1.0 - 2.0 * expand_vectors(bits, r, m, offset, family)).astype(np.float32)
-
-
 # ---------------------------------------------------------------------------
 # symbol-to-sign mapping
 # ---------------------------------------------------------------------------
@@ -358,6 +349,9 @@ def write_instance(path: str, inst: Instance, write_sidecar: bool = True):
     """Header: magic, n, d, q, seed, mode flag, P entries as f64; payload is
     row-major packed bits (q=2) or raw symbol bytes.  Planted indices go to a
     detachable sidecar so solve runs stay honest."""
+    if inst.q > 256:
+        raise ValueError(f"symbols are stored as single bytes; q={inst.q} "
+                         f"exceeds 256")
     with open(path, "wb") as f:
         f.write(MAGIC)
         has_p = inst.P is not None
@@ -378,25 +372,36 @@ def write_instance(path: str, inst: Instance, write_sidecar: bool = True):
             json.dump({"i": inst._planted[0], "j": inst._planted[1]}, f)
 
 
+def _need(f, size: int, path: str):
+    """Refuse to read past the end: the next size bytes must be in the file."""
+    if os.fstat(f.fileno()).st_size - f.tell() < size:
+        raise ValueError(f"{path}: truncated instance file")
+
+
 def read_instance(path: str, load_sidecar: bool = False) -> Instance:
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
             raise ValueError("not an instance file")
+        _need(f, 33, path)
         n, d, q, seed, has_p = struct.unpack("<QQQQB", f.read(33))
         if has_p:
+            _need(f, 8 * q * q, path)
             P = np.array(struct.unpack("<" + "d" * (q * q),
                                        f.read(8 * q * q))).reshape(q, q)
             rho = None
         else:
+            _need(f, 8, path)
             (rho,) = struct.unpack("<d", f.read(8))
             P = None
         if q == 2:
             nw = (d + 63) // 64
+            _need(f, 2 * n * nw * 8, path)
             wx = np.fromfile(f, dtype=np.uint64, count=n * nw).reshape(n, nw)
             wy = np.fromfile(f, dtype=np.uint64, count=n * nw).reshape(n, nw)
             X = unpack_bits(wx, d)
             Y = unpack_bits(wy, d)
         else:
+            _need(f, 2 * n * d, path)
             X = np.fromfile(f, dtype=np.uint8, count=n * d).reshape(n, d)
             Y = np.fromfile(f, dtype=np.uint8, count=n * d).reshape(n, d)
     hidden = None

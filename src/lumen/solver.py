@@ -9,7 +9,7 @@ buckets, coordinates, and signs; a verified pair ends the run.
 
 Hashing solver: bucket indices are drawn per copy by pushing raw coordinates
 through the stochastic pair (Q_x, Q_y), the tensor is interleaved with its
-reflection, and detection proceeds the same way.
+reflection, and the same round driver runs detection and verification.
 
 Detection kernels are numerically screened: an exact-matmul level product is
 computed as one BLAS product, and decompositions whose coefficient spread
@@ -29,7 +29,8 @@ from .core import (Decomposition, MultiplyCounter, Rank1Term, Tensor,
                    apply_power, reflect_decomposition,
                    tensor_of_decomposition)
 from .efficacy import (StochasticPair, eff_table, exponent_bound, gamma,
-                       is_subset_of_matmul, typeclass_capacity)
+                       is_subset_of_matmul, rho_joint_matrix,
+                       typeclass_capacity)
 from .instances import (Instance, SplitFamily, default_subset_size,
                         expand_vectors, map_to_pm1)
 from .aggregation import bucket_aggregate
@@ -73,7 +74,6 @@ class SolverPlan:
     g: float                      # target bucket size n t / m
     t: int                        # copies per input per side
     reps: int
-    majority: int
     detect_sigma: float
     symmetrized: bool
     # execution detail
@@ -399,14 +399,14 @@ def _estimate_p_round(classes, lam: float, rho_det: float, sigma: float,
 # uniform plan
 # ---------------------------------------------------------------------------
 
-def _default_reps(n: int):
+def _default_reps(n: int) -> int:
     if n <= (1 << 14):
-        return 25, 7
-    return math.ceil(100 * math.log(n)), math.ceil(20 * math.log(n))
+        return 25
+    return math.ceil(100 * math.log(n))
 
 
 def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int | None = None,
-                 reps: int | None = None, majority: int | None = None,
+                 reps: int | None = None,
                  detect_sigma: float | None = None) -> SolverPlan:
     """Derive run parameters for the uniform-bucket solver.
 
@@ -442,9 +442,7 @@ def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int | None = None
         qk_lvl = t0.shape.q_k
 
     matmul_like = _is_exact_matmul(t0)
-    r_def, mrep = _default_reps(n)
-    reps = reps if reps is not None else r_def
-    majority = majority if majority is not None else mrep
+    reps = reps if reps is not None else _default_reps(n)
 
     best = None
     fallback = None
@@ -499,7 +497,7 @@ def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int | None = None
     m = q_lvl ** N
     plan = SolverPlan(
         N=N, f=f, S_f=S_f.astype(np.uint8), m=m, g=n * t_copies / m,
-        t=t_copies, reps=reps, majority=majority, detect_sigma=float(sigma),
+        t=t_copies, reps=reps, detect_sigma=float(sigma),
         symmetrized=symmetrized, levels=levels, r=r, rho_det=rho_det,
         d_prime=qk_lvl ** N, n=n,
         formula_m=(20.0 * n / rho) ** (1.0 / (1.0 + math.log(f, t0.shape.q_i)))
@@ -563,13 +561,22 @@ def bucket_uniform(instance: Instance, plan: SolverPlan, seed,
         i_star, j_star = instance.planted()
         mem_x[i_star, 0] = force_planted[0]
         mem_y[j_star, 0] = force_planted[1]
-    mem_x = _dedupe_rows(mem_x)
-    mem_y = _dedupe_rows(mem_y)
     fam = SplitFamily(instance.d, plan.r)
     if offset is None:
         offset = int(rng.integers(fam.size))
-    ex = expand_vectors(instance.X, plan.r, plan.d_prime, offset, fam)
-    ey = expand_vectors(instance.Y, plan.r, plan.d_prime, offset, fam)
+    return _bucket_state(instance.X, instance.Y, mem_x, mem_y, plan, offset,
+                         rng, fam)
+
+
+def _bucket_state(bits_x, bits_y, mem_x, mem_y, plan: SolverPlan,
+                  offset: int, rng, fam: SplitFamily) -> BucketState:
+    """Shared tail of both bucketers: collapse duplicate ids, aggregate the
+    expanded window at offset, and draw one random sign per bucket row."""
+    m = plan.m
+    mem_x = _dedupe_rows(mem_x)
+    mem_y = _dedupe_rows(mem_y)
+    ex = expand_vectors(bits_x, plan.r, plan.d_prime, offset, fam)
+    ey = expand_vectors(bits_y, plan.r, plan.d_prime, offset, fam)
     agg_x = bucket_aggregate(ex, mem_x, m)
     agg_y = bucket_aggregate(ey, mem_y, m)
     signs_x = (1.0 - 2.0 * rng.integers(0, 2, size=m)).astype(np.float32)
@@ -652,6 +659,46 @@ def _collect_candidates(state: BucketState, flags, cap_pairs: int = 200000):
     return pairs
 
 
+def _run_rounds(instance: Instance, plan: SolverPlan, seed: int, stream: int,
+                draw, bits_x, bits_y, early_stop: bool,
+                counter: MultiplyCounter | None) -> DetectionReport:
+    """The round loop both solvers share.
+
+    Round k draws its buckets with draw(k, rng, offset) from the round's own
+    RNG (spawn key (stream, k)) at a window offset that advances d' per
+    round; flagged bucket pairs' members are verified on fresh windows of
+    bits_x / bits_y.  Stops at the first verified pair unless early_stop is
+    off.
+    """
+    master = np.random.SeedSequence(seed)
+    fam = SplitFamily(instance.d, plan.r)
+    base_offset = int(np.random.default_rng(master.spawn(1)[0]).integers(fam.size))
+    hits: dict = {}
+    stats = []
+    candidates: list = []
+    for k in range(plan.reps):
+        ss = np.random.SeedSequence(entropy=master.entropy, spawn_key=(stream, k))
+        rng = np.random.default_rng(ss)
+        offset = (base_offset + k * plan.d_prime) % fam.size
+        state = draw(k, rng, offset)
+        flags = detect(state, plan, counter=counter)
+        for i, j, _ in flags:
+            hits[(i, j)] = hits.get((i, j), 0) + 1
+        cand = _collect_candidates(state, flags)
+        good = verify_candidates(instance, cand, plan, rng,
+                                 mapped_x=bits_x, mapped_y=bits_y)
+        stats.append({"round": k, "flags": len(flags), "verified": len(good)})
+        for p in good:
+            if p not in candidates:
+                candidates.append(p)
+        if candidates and early_stop:
+            break
+    flagged = sorted(((i, j, c) for (i, j), c in hits.items()),
+                     key=lambda x: -x[2])[:1000]
+    return DetectionReport(bool(candidates), candidates, flagged, len(stats),
+                           stats, plan)
+
+
 def solve_uniform(instance: Instance, decomp: Decomposition,
                   plan: SolverPlan | None = None, seed: int = 0,
                   early_stop: bool = True,
@@ -662,34 +709,12 @@ def solve_uniform(instance: Instance, decomp: Decomposition,
     off.  An empty candidate list means nothing survived verification."""
     if plan is None:
         plan = plan_uniform(instance.n, instance.rho, decomp, d=instance.d)
-    master = np.random.SeedSequence(seed)
-    hits: dict = {}
-    stats = []
-    candidates: list = []
-    fam = SplitFamily(instance.d, plan.r)
-    base_offset = int(np.random.default_rng(master.spawn(1)[0]).integers(fam.size))
-    rounds = 0
-    for k in range(plan.reps):
-        ss = np.random.SeedSequence(entropy=master.entropy, spawn_key=(1, k))
-        rng = np.random.default_rng(ss)
-        offset = (base_offset + k * plan.d_prime) % fam.size
-        state = bucket_uniform(instance, plan, rng, offset=offset)
-        flags = detect(state, plan, counter=counter)
-        rounds += 1
-        for i, j, _ in flags:
-            hits[(i, j)] = hits.get((i, j), 0) + 1
-        cand = _collect_candidates(state, flags)
-        good = verify_candidates(instance, cand, plan, rng)
-        stats.append({"round": k, "flags": len(flags), "verified": len(good)})
-        for p in good:
-            if p not in candidates:
-                candidates.append(p)
-        if candidates and early_stop:
-            break
-    flagged = sorted(((i, j, c) for (i, j), c in hits.items()),
-                     key=lambda x: -x[2])[:1000]
-    return DetectionReport(bool(candidates), candidates, flagged, rounds,
-                           stats, plan)
+
+    def draw(k, rng, offset):
+        return bucket_uniform(instance, plan, rng, offset=offset)
+
+    return _run_rounds(instance, plan, seed, 1, draw, instance.X, instance.Y,
+                       early_stop, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +723,6 @@ def solve_uniform(instance: Instance, decomp: Decomposition,
 
 def plan_lsh(n: int, P: np.ndarray, decomp: Decomposition, qp: StochasticPair,
              d: int | None = None, reps: int | None = None,
-             majority: int | None = None,
              detect_sigma: float | None = None) -> SolverPlan:
     """Parameters for the hashing-boosted solver on the symmetrized tensor.
 
@@ -718,9 +742,7 @@ def plan_lsh(n: int, P: np.ndarray, decomp: Decomposition, qp: StochasticPair,
     levels = [decomp, reflect_decomposition(decomp)] * N
     m = q ** (2 * N)
     qk = t0.shape.q_k
-    r_def, mrep = _default_reps(n)
-    reps = reps if reps is not None else r_def
-    majority = majority if majority is not None else mrep
+    reps = reps if reps is not None else _default_reps(n)
 
     table = eff_table(t0).per_entry
     # planted bucket digit law per level: T levels see (Q_x x, Q_y y), the
@@ -754,7 +776,7 @@ def plan_lsh(n: int, P: np.ndarray, decomp: Decomposition, qp: StochasticPair,
     f, S_f = _threshold_choice(table)
     plan = SolverPlan(
         N=N, f=f, S_f=S_f.astype(np.uint8), m=m, g=float(g_target),
-        t=1, reps=reps, majority=majority, detect_sigma=float(sigma),
+        t=1, reps=reps, detect_sigma=float(sigma),
         symmetrized=True, levels=levels, r=r, rho_det=rho_det,
         d_prime=qk ** (2 * N), n=n, lsh=True, qp=qp, P=P, copies=c,
         formula_m=float(m), exponent=exponent_bound(decomp.rank,
@@ -823,12 +845,11 @@ def solve_lsh(instance: Instance, decomp: Decomposition,
     if plan is None:
         if qp is None:
             raise ValueError("need a stochastic pair or a prebuilt plan")
-        P = instance.P if instance.P is not None else _rho_matrix(instance.rho)
+        P = (instance.P if instance.P is not None
+             else rho_joint_matrix(instance.rho))
         plan = plan_lsh(instance.n, P, decomp, qp, d=instance.d)
-    qp = plan.qp
-    P = plan.P
-    q = qp.q
-    mapping = map_to_pm1(P)
+    q = plan.qp.q
+    mapping = map_to_pm1(plan.P)
     rng_map = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                            spawn_key=(9,)))
     # sign-map symbols once; detection expands windows of the mapped bits
@@ -836,57 +857,22 @@ def solve_lsh(instance: Instance, decomp: Decomposition,
     bits_y = (mapping.apply_y(instance.Y, rng_map) < 0).astype(np.uint8)
 
     L = 2 * plan.N
-    Q_x, Q_y = qp.Q_x, qp.Q_y
+    Q_x, Q_y = plan.qp.Q_x, plan.qp.Q_y
     Qs_x = [Q_x if (l % 2 == 0) else Q_y for l in range(L)]
     Qs_y = [Q_y if (l % 2 == 0) else Q_x for l in range(L)]
-
-    master = np.random.SeedSequence(seed)
     fam = SplitFamily(instance.d, plan.r)
-    base_offset = int(np.random.default_rng(master.spawn(1)[0]).integers(fam.size))
-    hits: dict = {}
-    stats = []
-    candidates: list = []
-    rounds = 0
-    for k in range(plan.reps):
-        ss = np.random.SeedSequence(entropy=master.entropy, spawn_key=(2, k))
-        rng = np.random.default_rng(ss)
+
+    def draw(k, rng, offset):
         start = (k * L) % max(instance.d - L, 1)
         win_x = instance.X[:, start:start + L]
         win_y = instance.Y[:, start:start + L]
-        mem_x = _dedupe_rows(_lsh_memberships(win_x, Qs_x, plan.copies, rng, q))
-        mem_y = _dedupe_rows(_lsh_memberships(win_y, Qs_y, plan.copies, rng, q))
-        offset = (base_offset + k * plan.d_prime) % fam.size
-        ex = expand_vectors(bits_x, plan.r, plan.d_prime, offset, fam)
-        ey = expand_vectors(bits_y, plan.r, plan.d_prime, offset, fam)
-        agg_x = bucket_aggregate(ex, mem_x, plan.m)
-        agg_y = bucket_aggregate(ey, mem_y, plan.m)
-        sx = (1.0 - 2.0 * rng.integers(0, 2, size=plan.m)).astype(np.float32)
-        sy = (1.0 - 2.0 * rng.integers(0, 2, size=plan.m)).astype(np.float32)
-        state = BucketState(plan.m, mem_x, mem_y, _bucket_sizes(mem_x, plan.m),
-                            _bucket_sizes(mem_y, plan.m), agg_x, agg_y, sx, sy,
-                            offset)
-        flags = detect(state, plan, counter=counter)
-        rounds += 1
-        for i, j, _ in flags:
-            hits[(i, j)] = hits.get((i, j), 0) + 1
-        cand = _collect_candidates(state, flags)
-        good = verify_candidates(instance, cand, plan, rng,
-                                 mapped_x=bits_x, mapped_y=bits_y)
-        stats.append({"round": k, "flags": len(flags), "verified": len(good)})
-        for p in good:
-            if p not in candidates:
-                candidates.append(p)
-        if candidates and early_stop:
-            break
-    flagged = sorted(((i, j, c) for (i, j), c in hits.items()),
-                     key=lambda x: -x[2])[:1000]
-    return DetectionReport(bool(candidates), candidates, flagged, rounds,
-                           stats, plan)
+        mem_x = _lsh_memberships(win_x, Qs_x, plan.copies, rng, q)
+        mem_y = _lsh_memberships(win_y, Qs_y, plan.copies, rng, q)
+        return _bucket_state(bits_x, bits_y, mem_x, mem_y, plan, offset, rng,
+                             fam)
 
-
-def _rho_matrix(rho: float) -> np.ndarray:
-    return np.array([[(1 + rho) / 4, (1 - rho) / 4],
-                     [(1 - rho) / 4, (1 + rho) / 4]])
+    return _run_rounds(instance, plan, seed, 2, draw, bits_x, bits_y,
+                       early_stop, counter)
 
 
 # ---------------------------------------------------------------------------

@@ -161,11 +161,10 @@ class TestCriterion5EndToEnd:
         results = {}
         for tensor in ("t2112", "strassen"):
             rows, _ = cmd_success_curve(tensor, [1024], [0.8], seeds=20,
-                                        d=512, reps=25, majority=7, jobs=2)
+                                        d=512, reps=25, jobs=2)
             results[(tensor, "planted")] = rows[0]
             rows, _ = cmd_success_curve(tensor, [1024], [0.8], seeds=20,
-                                        d=512, reps=25, majority=7, jobs=2,
-                                        null=True)
+                                        d=512, reps=25, jobs=2, null=True)
             results[(tensor, "null")] = rows[0]
         wall = time.perf_counter() - t0
         for tensor in ("t2112", "strassen"):

@@ -6,13 +6,15 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from lumen.cli import main as cli_main
 from lumen.core import Decomposition, Rank1Term, tensor_of_decomposition
 from lumen.efficacy import dubiner_exponent, exponent_bound, omega_rho_t2112
 from lumen.harness import (EXPONENTS_HEADER, SUCCESS_HEADER, cmd_exponents,
-                           cmd_success_curve, cmd_verify, derive_seed,
+                           cmd_success_curve, cmd_verify,
                            exponent_rows, locate_corrupt_term, wilson_interval)
+from lumen.instances import gen_planted_p, write_instance
 from lumen.zoo import matmul_tensor, strassen_decomposition, zoo_decomposition
 
 
@@ -41,12 +43,6 @@ class TestExponentCurves:
 
 
 class TestSeeds:
-    def test_derive_seed_deterministic(self):
-        a = np.random.default_rng(derive_seed(42, "solve", 3)).integers(1 << 30)
-        b = np.random.default_rng(derive_seed(42, "solve", 3)).integers(1 << 30)
-        c = np.random.default_rng(derive_seed(42, "solve", 4)).integers(1 << 30)
-        assert a == b and a != c
-
     def test_wilson(self):
         lo, hi = wilson_interval(18, 20)
         assert 0.68 < lo < 0.9 < hi <= 1.0
@@ -135,6 +131,15 @@ class TestCli:
         out = capsys.readouterr().out
         rep = json.loads(out)
         assert code == 0 and rep["planted_recovered"]
+
+    @pytest.mark.parametrize("lsh", [[], ["--lsh"]])
+    def test_solve_refuses_qary_file(self, tmp_path, capsys, lsh):
+        path = str(tmp_path / "q4.bin")
+        P = np.full((4, 4), 1 / 32)
+        np.fill_diagonal(P, 1 / 32 + 1 / 8)
+        write_instance(path, gen_planted_p(16, 50, 4, P / P.sum(), seed=3))
+        assert cli_main(["solve", "--path", path] + lsh) == 2
+        assert "q=2" in capsys.readouterr().err
 
     def test_lemma_check_cli(self, capsys):
         assert cli_main(["lemma-check", "--seed", "1"]) == 0

@@ -6,11 +6,12 @@ import os
 import numpy as np
 import pytest
 
+from lumen.efficacy import rho_joint_matrix
 from lumen.instances import (Instance, SplitFamily, check_vn,
                              default_subset_size, expand_vectors, gen_planted,
                              gen_planted_p, map_to_pm1, pack_bits,
-                             packed_inner, read_instance, rho_to_joint,
-                             sidecar_path, unpack_bits, write_instance)
+                             packed_inner, read_instance, sidecar_path,
+                             unpack_bits, write_instance)
 
 
 class TestGenerators:
@@ -39,7 +40,7 @@ class TestGenerators:
 
     def test_p_rho_reduces_to_classic(self):
         rho = 0.4
-        inst = gen_planted_p(2, 20000, 2, rho_to_joint(rho), seed=3)
+        inst = gen_planted_p(2, 20000, 2, rho_joint_matrix(rho), seed=3)
         i, j = inst.planted()
         agree = (inst.X[i] == inst.Y[j]).mean()
         assert abs(agree - (1 + rho) / 2) < 0.02
@@ -129,7 +130,7 @@ class TestExpansion:
 class TestMapToPm1:
     def test_classic_rho_matrix(self):
         rho = 0.3
-        m = map_to_pm1(rho_to_joint(rho))
+        m = map_to_pm1(rho_joint_matrix(rho))
         assert abs(m.rho_out - rho) < 1e-12
         assert set(m.g.tolist()) == {1.0, -1.0}
         assert m.g.sum() == 0 and m.h.sum() == 0
@@ -147,7 +148,7 @@ class TestMapToPm1:
 
     def test_balance_and_correlation_empirical(self):
         rho = 0.4
-        P = rho_to_joint(rho)
+        P = rho_joint_matrix(rho)
         m = map_to_pm1(P)
         rng = np.random.default_rng(9)
         n = 100000
@@ -178,7 +179,7 @@ class TestMapToPm1:
 
 class TestCheckVn:
     def test_exact_counts(self):
-        P = rho_to_joint(0.0)
+        P = rho_joint_matrix(0.0)
         x = np.array([0, 0, 1, 1])
         y = np.array([0, 1, 0, 1])
         assert check_vn(x, y, P, 4)
@@ -188,7 +189,7 @@ class TestCheckVn:
     def test_typicality_rate_matches_multinomial(self):
         from math import comb
         rho, N = 0.2, 20
-        P = rho_to_joint(rho)
+        P = rho_joint_matrix(rho)
         counts = np.round(P * N).astype(int)
         # exact multinomial point mass at the rounded cell counts
         ways = 1.0
@@ -234,3 +235,20 @@ class TestBinaryIO:
         back = read_instance(path)
         assert np.array_equal(back.X, inst.X)
         assert back.P is not None and np.allclose(back.P, P)
+
+    @pytest.mark.parametrize("size", [20, 60])
+    def test_truncated_file_refused(self, tmp_path, size):
+        path = str(tmp_path / "inst.bin")
+        write_instance(path, gen_planted(32, 100, 0.7, seed=13))
+        with open(path, "rb") as f:
+            head = f.read(size)
+        with open(path, "wb") as f:
+            f.write(head)
+        with pytest.raises(ValueError, match="inst.bin: truncated"):
+            read_instance(path)
+
+    def test_wide_alphabet_refused(self, tmp_path):
+        P = np.full((300, 300), 1 / 300 ** 2)
+        inst = gen_planted_p(4, 8, 300, P, seed=1, planted=False)
+        with pytest.raises(ValueError, match="q=300"):
+            write_instance(str(tmp_path / "wide.bin"), inst)
