@@ -1,16 +1,16 @@
 """Light bulb problem solvers built on low-rank bilinear tensors.
 
 The package pairs an exact tensor/decomposition calculus (Kronecker products,
-reflections, recursive application) with planted-correlation solvers that
+reflections, Kronecker-power application) with planted-correlation solvers that
 score all bucket pairs through one tensor application per round, plus the
 efficacy machinery that predicts which tensors detect at which exponents.
 """
 
 from .core import (Decomposition, MultiplyCounter, Rank1Term, Tensor,
-                   TensorShape, apply_direct, apply_power, apply_recursive,
-                   blend_decomposition, decomposition_from_text,
-                   decomposition_to_text, kron_decomposition, kronecker,
-                   reflect, reflect_decomposition, tensor_of_decomposition)
+                   TensorShape, apply_direct, apply_power, blend_decomposition,
+                   decomposition_from_text, decomposition_to_text,
+                   kron_decomposition, kronecker, reflect,
+                   reflect_decomposition, tensor_of_decomposition)
 from .efficacy import (EfficacyTable, StochasticPair, design_q_matrices,
                        eff_entry, eff_table, effq_entry, exponent_bound,
                        gamma, omega_rho_t2112, optimize_gamma, p_eff,

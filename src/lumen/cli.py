@@ -232,7 +232,12 @@ def main(argv=None) -> int:
             from .core import decomposition_from_text
             from .harness import locate_corrupt_term
             with open(args.decomp_file) as f:
-                d = decomposition_from_text(f.read())
+                text = f.read()
+            try:
+                d = decomposition_from_text(text)
+            except ValueError as e:
+                print(f"{args.decomp_file}: {e}", file=sys.stderr)
+                return 2
             if not args.against:
                 print("loaded: rank", d.rank, "shape",
                       (d.shape.q_i, d.shape.q_j, d.shape.q_k))

@@ -1,4 +1,4 @@
-"""Tensors, rank decompositions, and the recursive bilinear application engine.
+"""Tensors, rank decompositions, and the Kronecker-power application engine.
 
 A tensor here is a trilinear form over variables X[i,k], Y[j,k'], Z[i',j']
 of a given shape; applying it to matrices A (rows indexed by i, columns by k)
@@ -30,7 +30,6 @@ __all__ = [
     "reflect",
     "reflect_decomposition",
     "apply_direct",
-    "apply_recursive",
     "apply_power",
     "blend_decomposition",
     "decomposition_to_text",
@@ -41,6 +40,10 @@ __all__ = [
 # Dense Kronecker powers are capped so a runaway power request fails fast
 # instead of exhausting memory.  2^26 doubles = 0.5 GB.
 DEFAULT_CAPACITY = 1 << 26
+
+# apply_power loops its leading levels term by term until the remaining
+# rank product is at most this, so sweep states stay around <= 4M entries.
+SWEEP_WIDTH = 1 << 22
 
 
 class CapacityError(Exception):
@@ -142,15 +145,6 @@ class Decomposition:
         return all(
             np.array_equal(m, np.round(m))
             for t in self.terms for m in (t.alpha, t.beta, t.gamma))
-
-
-def make_term(alpha, beta, gamma) -> Rank1Term:
-    return Rank1Term(np.array(alpha, dtype=float), np.array(beta, dtype=float),
-                     np.array(gamma, dtype=float))
-
-
-def make_decomposition(shape: TensorShape, terms) -> Decomposition:
-    return Decomposition(shape, tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +293,8 @@ def _uninterleave(vec: np.ndarray, per_row, per_col) -> np.ndarray:
     return np.ascontiguousarray(t.transpose(perm)).reshape(nr, nc)
 
 
-def apply_power(levels, A, B, dtype=None, counter: MultiplyCounter | None = None,
-                top_chunk: int | None = None) -> np.ndarray:
+def apply_power(levels, A, B, dtype=None,
+                counter: MultiplyCounter | None = None) -> np.ndarray:
     """Apply the Kronecker product of per-level decompositions to A and B.
 
     levels: list of Decomposition, one per Kronecker factor (level l shapes
@@ -308,8 +302,8 @@ def apply_power(levels, A, B, dtype=None, counter: MultiplyCounter | None = None
     Equivalent to apply_direct on the expanded product tensor; performs exactly
     prod(rank_l) base-level bilinear multiplications.
 
-    top_chunk: number of leading levels looped term-by-term in Python to bound
-    peak memory (None picks one from the rank profile).
+    To bound peak memory, the leading levels are looped term by term until
+    the rank product of the rest is at most SWEEP_WIDTH.
     """
     N = len(levels)
     qi = [d.shape.q_i for d in levels]
@@ -335,13 +329,11 @@ def apply_power(levels, A, B, dtype=None, counter: MultiplyCounter | None = None
     if any(r == 0 for r in ranks):
         return np.zeros((int(np.prod(qi)), int(np.prod(qj))), dtype=dtype)
 
-    if top_chunk is None:
-        top_chunk = 0
-        width = total_rank
-        while width > (1 << 22):   # keep sweep states around <= 4M entries/level
-            width //= ranks[top_chunk]
-            top_chunk += 1
-    top_chunk = min(top_chunk, N - 1) if N > 1 else 0
+    t = 0                          # leading levels looped term by term
+    width = total_rank
+    while width > SWEEP_WIDTH and t < N - 1:
+        width //= ranks[t]
+        t += 1
 
     va = _interleave(A, qi, qk, dtype)
     vb = _interleave(B, qj, qk, dtype)
@@ -349,12 +341,11 @@ def apply_power(levels, A, B, dtype=None, counter: MultiplyCounter | None = None
     Mbs = [m[1] for m in mats]
     MgT = [np.ascontiguousarray(m[2].T) for m in mats]
 
-    if top_chunk == 0:
+    if t == 0:
         wa = _sweep(va, Mas)
         wb = _sweep(vb, Mbs)
         c = _sweep(wa * wb, MgT)
     else:
-        t = top_chunk
         da = int(np.prod([qi[l] * qk[l] for l in range(t)]))
         db = int(np.prod([qj[l] * qk[l] for l in range(t)]))
         va2 = va.reshape(da, -1)
@@ -377,67 +368,6 @@ def apply_power(levels, A, B, dtype=None, counter: MultiplyCounter | None = None
     return _uninterleave(c, qi, qj)
 
 
-def apply_recursive(d: Decomposition, N: int, A, B, cutoff: int = 1,
-                    counter: MultiplyCounter | None = None) -> np.ndarray:
-    """Strassen-style recursion for d^(x)N applied to A, B.
-
-    Performs exactly rank(d)^N base-level bilinear multiplications (reported
-    through `counter`).  Integer decompositions on integer inputs stay exact.
-    At `cutoff` remaining levels the expanded power decomposition is applied in
-    one vectorized step; this changes constants only, not results.
-    """
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    qi, qj, qk = d.shape.q_i, d.shape.q_j, d.shape.q_k
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.shape != (qi ** N, qk ** N) or B.shape != (qj ** N, qk ** N):
-        raise ShapeError(
-            f"operands {A.shape}/{B.shape} are not {N}-th power shapes of {d.shape}")
-    integer = (d.is_integer() and np.issubdtype(A.dtype, np.integer)
-               and np.issubdtype(B.dtype, np.integer))
-    dtype = np.int64 if integer else np.float64
-    A = A.astype(dtype, copy=False)
-    B = B.astype(dtype, copy=False)
-    cutoff = max(1, min(cutoff, N))
-    Ma, Mb, Mg = _term_matrices(d, dtype)
-    # expanded matrices for the vectorized base case
-    Ka, Kb, Kg = Ma, Mb, Mg
-    for _ in range(cutoff - 1):
-        Ka = np.kron(Ka, Ma)
-        Kb = np.kron(Kb, Mb)
-        Kg = np.kron(Kg, Mg)
-
-    def rec(a, b, n):
-        if n <= cutoff:
-            va = _interleave(a, [qi] * n, [qk] * n, dtype)
-            vb = _interleave(b, [qj] * n, [qk] * n, dtype)
-            if n == cutoff:
-                ka, kb, kg = Ka, Kb, Kg
-            else:
-                ka, kb, kg = Ma, Mb, Mg
-                for _ in range(n - 1):
-                    ka = np.kron(ka, Ma)
-                    kb = np.kron(kb, Mb)
-                    kg = np.kron(kg, Mg)
-            p = (ka @ va) * (kb @ vb)
-            if counter is not None:
-                counter.add(p.size)
-            return _uninterleave(kg.T @ p, [qi] * n, [qj] * n)
-        # split off the leading level
-        ra = a.reshape(qi, qi ** (n - 1), qk, qk ** (n - 1))
-        rb = b.reshape(qj, qj ** (n - 1), qk, qk ** (n - 1))
-        c = np.zeros((qi, qi ** (n - 1), qj, qj ** (n - 1)), dtype=dtype)
-        for t in d.terms:
-            sub_a = np.einsum("ik,iakb->ab", t.alpha.astype(dtype), ra)
-            sub_b = np.einsum("jk,jakb->ab", t.beta.astype(dtype), rb)
-            sub_c = rec(sub_a, sub_b, n - 1)
-            c += t.gamma.astype(dtype)[:, None, :, None] * sub_c[None, :, None, :]
-        return c.reshape(qi ** n, qj ** n)
-
-    return rec(A, B, N)
-
-
 # ---------------------------------------------------------------------------
 # text format
 # ---------------------------------------------------------------------------
@@ -454,18 +384,39 @@ def decomposition_to_text(d: Decomposition) -> str:
 
 
 def decomposition_from_text(text: str) -> Decomposition:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("shape"):
+    """Parse decomposition_to_text output.  Malformed input raises ValueError
+    naming the (1-based) line and what it expected there."""
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
+    if not lines or not lines[0][1].startswith("shape"):
         raise ValueError("missing `shape q_i q_j q_k` header")
-    _, qi, qj, qk = lines[0].split()
-    shape = TensorShape(int(qi), int(qj), int(qk))
+    no, header = lines[0]
+    dims = header.split()[1:]
+    if len(dims) != 3 or not all(x.isdecimal() and int(x) > 0 for x in dims):
+        raise ValueError(f"line {no}: expected `shape q_i q_j q_k` with three "
+                         f"positive integers, got {header!r}")
+    shape = TensorShape(*map(int, dims))
+    qi, qj, qk = shape.q_i, shape.q_j, shape.q_k
+    blocks = (("alpha", (qi, qk)), ("beta", (qj, qk)), ("gamma", (qi, qj)))
     terms = []
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         parts = ln.split(";")
         if len(parts) != 3:
-            raise ValueError(f"term line needs 3 coefficient lists: {ln!r}")
-        a, b, g = (np.array([float(x) for x in p.split()]) for p in parts)
-        terms.append(Rank1Term(a.reshape(shape.q_i, shape.q_k),
-                               b.reshape(shape.q_j, shape.q_k),
-                               g.reshape(shape.q_i, shape.q_j)))
+            raise ValueError(f"line {no}: expected 3 ';'-separated coefficient "
+                             f"lists, got {len(parts)}")
+        mats = []
+        for (name, shp), part in zip(blocks, parts):
+            try:
+                vals = np.array([float(x) for x in part.split()])
+            except ValueError as e:
+                raise ValueError(f"line {no}: expected numeric {name} "
+                                 f"coefficients ({e})") from None
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"line {no}: expected finite {name} "
+                                 f"coefficients")
+            if vals.size != shp[0] * shp[1]:
+                raise ValueError(f"line {no}: expected {shp[0] * shp[1]} "
+                                 f"{name} coefficients, got {vals.size}")
+            mats.append(vals.reshape(shp))
+        terms.append(Rank1Term(*mats))
     return Decomposition(shape, tuple(terms))

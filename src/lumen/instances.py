@@ -53,17 +53,6 @@ class Instance:
         """Hidden indices; production solvers must not call this."""
         return self._planted
 
-    def signs_x(self) -> np.ndarray:
-        """+-1 view for q = 2 instances."""
-        if self.q != 2:
-            raise ValueError("sign view only exists for q = 2")
-        return 1.0 - 2.0 * self.X
-
-    def signs_y(self) -> np.ndarray:
-        if self.q != 2:
-            raise ValueError("sign view only exists for q = 2")
-        return 1.0 - 2.0 * self.Y
-
 
 def gen_planted(n: int, d: int, rho: float, seed: int,
                 planted: bool = True) -> Instance:

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (Decomposition, MultiplyCounter, Rank1Term, Tensor,
-                   apply_power, reflect_decomposition,
-                   tensor_of_decomposition)
+                   _interleave, _sweep, _uninterleave, apply_power,
+                   reflect_decomposition, tensor_of_decomposition)
 from .efficacy import (StochasticPair, eff_table, exponent_bound, gamma,
                        is_subset_of_matmul, rho_joint_matrix,
                        typeclass_capacity)
@@ -58,6 +58,7 @@ SIGMA_CANDIDATES = (10.0, 8.0, 6.0, 5.0, 4.5, 4.0, 3.5)
 NOISE_FUDGE = 1.35         # measured inflation of bucket-size noise vs the mean-field model
 STABILITY_TOL = 1e-3       # max tolerated relative fp error estimate per apply
 SURROGATE_VAR_TOL = 1e-3   # max variance share the surrogate may drop
+VERIFY_DIM = 1024          # max expanded coordinates per candidate check
 
 
 class PlanError(Exception):
@@ -81,15 +82,12 @@ class SolverPlan:
     r: int = 2                    # expansion subset size
     rho_det: float = 0.0          # post-expansion correlation of the planted pair
     d_prime: int = 0              # detection coordinates per round
-    verify_dim: int = 1024
     kernel: str = "auto"
-    n: int = 0
     lsh: bool = False
     qp: StochasticPair | None = None
     P: np.ndarray | None = None
     copies: int = 0               # per-copy count for the hashing path
     # provenance of the closed-form plan quantities
-    formula_m: float = 0.0        # (20 n / rho)^(1/(1+log_q f))
     exponent: float = 0.0         # log rank / log(f sqrt|S_f|)
     p_round_est: float = 0.0
     surrogate_dropped_var: float = 0.0
@@ -342,35 +340,11 @@ def _variance_map(levels_tensors, sizes_x, sizes_y) -> np.ndarray:
     evaluated by sweeping the per-level ( q^2 x q^2 ) transfer matrices over
     the interleaved outer product of the size vectors.
     """
-    L = len(levels_tensors)
     qis = [t.shape.q_i for t in levels_tensors]
     qjs = [t.shape.q_j for t in levels_tensors]
-    u = np.asarray(sizes_x, np.float64)
-    v = np.asarray(sizes_y, np.float64)
-    state = np.outer(u, v).reshape(qis + qjs)
-    perm = []
-    for l in range(L):
-        perm += [l, L + l]
-    state = np.ascontiguousarray(state.transpose(perm)).reshape(-1)
-    pre = 1
-    for t in levels_tensors:
-        w = _pair_weight_matrix(t).T       # rows: out pair, cols: in pair
-        r, dd = w.shape
-        rest = state.size // (pre * dd)
-        if rest == 1:
-            state = (state.reshape(pre, dd) @ w.T).reshape(-1)
-        else:
-            state = np.matmul(w[None, :, :],
-                              state.reshape(pre, dd, rest)).reshape(-1)
-        pre *= r
-    dims = []
-    for l in range(L):
-        dims += [qis[l], qjs[l]]
-    back = state.reshape(dims)
-    perm = [2 * l for l in range(L)] + [2 * l + 1 for l in range(L)]
-    mi = int(np.prod(qis))
-    mj = int(np.prod(qjs))
-    return np.ascontiguousarray(back.transpose(perm)).reshape(mi, mj)
+    sizes = _interleave(np.outer(sizes_x, sizes_y), qis, qjs, np.float64)
+    var = _sweep(sizes, [_pair_weight_matrix(t).T for t in levels_tensors])
+    return _uninterleave(var, qis, qjs)
 
 
 def _phi(x: float) -> float:
@@ -499,9 +473,7 @@ def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int | None = None
         N=N, f=f, S_f=S_f.astype(np.uint8), m=m, g=n * t_copies / m,
         t=t_copies, reps=reps, detect_sigma=float(sigma),
         symmetrized=symmetrized, levels=levels, r=r, rho_det=rho_det,
-        d_prime=qk_lvl ** N, n=n,
-        formula_m=(20.0 * n / rho) ** (1.0 / (1.0 + math.log(f, t0.shape.q_i)))
-        if rho > 0 and f > 0 else float("nan"),
+        d_prime=qk_lvl ** N,
         exponent=exponent_bound(decomp.rank, f * math.sqrt(S_f.sum())),
         p_round_est=p,
     )
@@ -629,7 +601,7 @@ def verify_candidates(instance: Instance, pairs, plan: SolverPlan, rng,
     fam_src_x = mapped_x if mapped_x is not None else instance.X
     fam_src_y = mapped_y if mapped_y is not None else instance.Y
     fam = SplitFamily(instance.d, plan.r)
-    dim = min(plan.verify_dim, fam.size)
+    dim = min(VERIFY_DIM, fam.size)
     offset = int(rng.integers(fam.size))
     uniq = sorted(set(pairs))
     ai = np.array([p[0] for p in uniq])
@@ -778,9 +750,8 @@ def plan_lsh(n: int, P: np.ndarray, decomp: Decomposition, qp: StochasticPair,
         N=N, f=f, S_f=S_f.astype(np.uint8), m=m, g=float(g_target),
         t=1, reps=reps, detect_sigma=float(sigma),
         symmetrized=True, levels=levels, r=r, rho_det=rho_det,
-        d_prime=qk ** (2 * N), n=n, lsh=True, qp=qp, P=P, copies=c,
-        formula_m=float(m), exponent=exponent_bound(decomp.rank,
-                                                    q * math.sqrt(g)),
+        d_prime=qk ** (2 * N), lsh=True, qp=qp, P=P, copies=c,
+        exponent=exponent_bound(decomp.rank, q * math.sqrt(g)),
         p_round_est=p_est,
     )
     _finalize_kernel(plan)

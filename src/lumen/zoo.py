@@ -22,7 +22,6 @@ from .core import Decomposition, Rank1Term, Tensor, TensorShape
 __all__ = [
     "ZooEntry",
     "matmul_tensor",
-    "matmul_decomposition",
     "strassen_decomposition",
     "sw_decomposition",
     "sw_target",
@@ -62,19 +61,6 @@ def matmul_tensor(q: int, q_k: int) -> Tensor:
             for k in range(q_k):
                 c[i, k, j, k, i, j] = 1.0
     return Tensor(TensorShape(q, q, q_k), c)
-
-
-def matmul_decomposition(q: int, q_k: int) -> Decomposition:
-    """Trivial rank q*q*q_k decomposition (one term per coefficient)."""
-    terms = []
-    for i in range(q):
-        for j in range(q):
-            for k in range(q_k):
-                a = np.zeros((q, q_k)); a[i, k] = 1.0
-                b = np.zeros((q, q_k)); b[j, k] = 1.0
-                g = np.zeros((q, q)); g[i, j] = 1.0
-                terms.append(Rank1Term(a, b, g))
-    return Decomposition(TensorShape(q, q, q_k), tuple(terms))
 
 
 _S22 = TensorShape(2, 2, 2)

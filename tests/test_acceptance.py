@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from lumen.core import (MultiplyCounter, apply_direct, apply_recursive,
+from lumen.core import (MultiplyCounter, apply_direct, apply_power,
                         tensor_of_decomposition, tensor_power)
 from lumen.aggregation import (AggregationTask, aggregate_fast,
                                aggregate_naive, bench_aggregation)
@@ -109,20 +109,20 @@ class TestCriterion3OracleEquivalence:
                     if integer:
                         A = rng.integers(-5, 6, size=(q, qk))
                         B = rng.integers(-5, 6, size=(q, qk))
-                        C1 = apply_recursive(d, N, A, B, counter=counter)
+                        C1 = apply_power([d] * N, A, B, counter=counter)
                         C0 = apply_direct(tN, A, B)
                         assert np.array_equal(C1, C0), (name, N)
                     else:
                         A = rng.standard_normal((q, qk))
                         B = rng.standard_normal((q, qk))
-                        C1 = apply_recursive(d, N, A, B, counter=counter)
+                        C1 = apply_power([d] * N, A, B, counter=counter)
                         C0 = apply_direct(tN, A, B)
                         rel = np.abs(C1 - C0).max() / max(np.abs(C0).max(), 1e-30)
                         assert rel <= 1e-9, (name, N, rel)
                 assert counter.count == n_pairs * d.rank ** N, (name, N)
         wall = time.perf_counter() - t0
         assert wall < 30.0
-        _report(3, f"recursion == direct expansion (exact int / <=1e-9), "
+        _report(3, f"apply_power == direct expansion (exact int / <=1e-9), "
                    f"counter == rank^N, {wall:.1f}s")
 
 

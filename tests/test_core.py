@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from lumen import core
 from lumen.core import (CapacityError, Decomposition, MultiplyCounter,
                         Rank1Term, ShapeError, TensorShape, apply_direct,
-                        apply_power, apply_recursive, blend_decomposition,
+                        apply_power, blend_decomposition,
                         decomposition_from_text, decomposition_to_text,
                         kron_decomposition, kronecker, reflect,
                         reflect_decomposition, tensor_of_decomposition,
@@ -168,13 +169,16 @@ class TestApplyDirect:
 
 
 class TestApplyRecursive:
+    """apply_power, the level-by-level rank recursion, against the
+    apply_direct oracle on the expanded tensor power."""
+
     def test_base_case_matches_direct(self):
         rng = np.random.default_rng(1)
         for d in (strassen_decomposition(), sw_decomposition(),
                   t2112_decomposition(0.25, warn=False)):
             A = rng.standard_normal((2, 2))
             B = rng.standard_normal((2, 2))
-            C1 = apply_recursive(d, 1, A, B)
+            C1 = apply_power([d], A, B)
             C0 = apply_direct(tensor_of_decomposition(d), A, B)
             assert np.allclose(C1, C0, rtol=1e-11, atol=1e-13)
 
@@ -182,7 +186,7 @@ class TestApplyRecursive:
         rng = np.random.default_rng(2)
         A = rng.integers(-9, 10, size=(8, 8))
         B = rng.integers(-9, 10, size=(8, 8))
-        C = apply_recursive(strassen_decomposition(), 3, A, B)
+        C = apply_power([strassen_decomposition()] * 3, A, B)
         assert C.dtype == np.int64
         assert np.array_equal(C, naive_matmul(A, B))
 
@@ -193,12 +197,8 @@ class TestApplyRecursive:
             A = rng.standard_normal((2 ** N, 2 ** N))
             B = rng.standard_normal((2 ** N, 2 ** N))
             c = MultiplyCounter()
-            apply_recursive(d, N, A, B, counter=c)
+            apply_power([d] * N, A, B, counter=c)
             assert c.count == d.rank ** N
-            # cutoff choice must not change the count
-            c2 = MultiplyCounter()
-            apply_recursive(d, N, A, B, cutoff=2, counter=c2)
-            assert c2.count == d.rank ** N
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_oracle_equivalence_t2112_conditioned(self, N):
@@ -209,19 +209,20 @@ class TestApplyRecursive:
         for _ in range(5):
             A = rng.standard_normal((2 ** N, 2 ** N))
             B = rng.standard_normal((2 ** N, 2 ** N))
-            C1 = apply_recursive(d, N, A, B)
+            C1 = apply_power([d] * N, A, B)
             C0 = apply_direct(tN, A, B)
             assert np.abs(C1 - C0).max() <= 1e-9 * max(np.abs(C0).max(), 1.0)
 
-    def test_apply_power_agrees_with_recursive(self):
+    def test_apply_power_agrees_with_direct(self):
         rng = np.random.default_rng(5)
         for d in (strassen_decomposition(), t2112_decomposition(0.5)):
             N = 3
+            tN = tensor_power(tensor_of_decomposition(d), N)
             A = rng.standard_normal((8, 8))
             B = rng.standard_normal((8, 8))
             c = MultiplyCounter()
             C1 = apply_power([d] * N, A, B, counter=c)
-            C2 = apply_recursive(d, N, A, B)
+            C2 = apply_direct(tN, A, B)
             assert np.allclose(C1, C2, rtol=1e-9, atol=1e-9)
             assert c.count == d.rank ** N
 
@@ -236,12 +237,41 @@ class TestApplyRecursive:
         C0 = apply_direct(t, A, B)
         assert np.allclose(C1, C0, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("width", [1, 30])
+    def test_chunked_sweep_matches_direct(self, monkeypatch, width):
+        """A small SWEEP_WIDTH sends apply_power through its term-by-term
+        loop over the leading levels (1 or 2 of the 3 here)."""
+        monkeypatch.setattr(core, "SWEEP_WIDTH", width)
+        d = t2112_decomposition(0.5)
+        levels = [d, reflect_decomposition(d), sw_decomposition()]
+        t = tensor_of_decomposition(levels[0])
+        for lv in levels[1:]:
+            t = kronecker(t, tensor_of_decomposition(lv))
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((8, 8))
+        B = rng.standard_normal((8, 8))
+        c = MultiplyCounter()
+        C1 = apply_power(levels, A, B, counter=c)
+        C0 = apply_direct(t, A, B)
+        assert np.abs(C1 - C0).max() <= 1e-12 * np.abs(C0).max()
+        assert c.count == 5 * 5 * 6
+        # integer levels stay exact through the chunked loop
+        st, sw = strassen_decomposition(), sw_decomposition()
+        A = rng.integers(-9, 10, size=(8, 8))
+        B = rng.integers(-9, 10, size=(8, 8))
+        ts = kronecker(kronecker(tensor_of_decomposition(st),
+                                 tensor_of_decomposition(sw)),
+                       tensor_of_decomposition(st))
+        C = apply_power([st, sw, st], A, B)
+        assert C.dtype == np.int64
+        assert np.array_equal(C, apply_direct(ts, A, B).round().astype(np.int64))
+
     def test_shape_errors(self):
         d = strassen_decomposition()
         with pytest.raises(ShapeError):
-            apply_recursive(d, 2, np.ones((2, 2)), np.ones((4, 4)))
-        with pytest.raises(ValueError):
-            apply_recursive(d, 0, np.ones((1, 1)), np.ones((1, 1)))
+            apply_power([d] * 2, np.ones((2, 2)), np.ones((4, 4)))
+        with pytest.raises(ShapeError):
+            apply_power([d] * 2, np.ones((4, 4)), np.ones((4, 2)))
 
 
 class TestBlend:
@@ -282,3 +312,18 @@ class TestTextFormat:
     def test_header_required(self):
         with pytest.raises(ValueError):
             decomposition_from_text("1 0 0 1; 1 0 0 1; 1 0 0 1\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("shape 2 2 2\n1 0 0; 1 0 0 1; 1 0 0 1\n",
+         "line 2: expected 4 alpha coefficients, got 3"),
+        ("shape 2 2\n", "line 1: expected `shape q_i q_j q_k`"),
+        ("shape 2 2 x\n", "line 1: expected `shape q_i q_j q_k`"),
+        ("shape 2 2 2\n1 0 0 1; 1 0 x 1; 1 0 0 1\n",
+         "line 2: expected numeric beta coefficients"),
+        ("shape 2 2 2\n1 0 0 1; 1 0 0 1; 1 0 0 nan\n",
+         "line 2: expected finite gamma coefficients"),
+    ], ids=["short-term", "short-header", "bad-header", "non-numeric",
+            "non-finite"])
+    def test_malformed_input_names_the_line(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            decomposition_from_text(text)

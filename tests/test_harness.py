@@ -172,3 +172,11 @@ class TestCli:
                          "--against", "strassen"]) == 1
         out = capsys.readouterr().out
         assert "suspect term index: 1" in out
+
+    def test_verify_malformed_decomposition_exits_2(self, tmp_path, capsys):
+        path = str(tmp_path / "bad.txt")
+        with open(path, "w") as f:
+            f.write("shape 2 2\n")
+        assert cli_main(["verify", "--decomp-file", path]) == 2
+        err = capsys.readouterr().err
+        assert "line 1: expected `shape q_i q_j q_k`" in err

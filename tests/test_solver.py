@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from lumen import solver
 from lumen.core import (MultiplyCounter, Rank1Term, Decomposition, Tensor,
-                        TensorShape, apply_power, reflect_decomposition,
-                        tensor_of_decomposition)
+                        TensorShape, apply_power, kronecker,
+                        reflect_decomposition, tensor_of_decomposition)
 from lumen.efficacy import (eff_table, exponent_bound, rho_joint_matrix,
                             t2112_flip_pair, t2112_optimal_a, uniform_pair)
 from lumen.instances import gen_planted
@@ -16,7 +17,7 @@ from lumen.solver import (BucketState, PlanError, bucket_uniform, detect,
                           solve_lsh, solve_uniform, verify_candidates,
                           _apply_subset_diag, _screen_levels, _variance_map)
 from lumen.zoo import (matmul_tensor, strassen_decomposition,
-                       t2112_decomposition)
+                       sw_decomposition, t2112_decomposition)
 
 
 def t2112():
@@ -257,12 +258,46 @@ class TestSubsetDiagKernel:
         assert counter.count == math.prod(d.rank for d in levels)
 
 
+def _variance_cases():
+    sw, t = sw_decomposition(), t2112()
+    cases = {}
+    for L in (1, 2, 3):
+        cases[f"t2112-screened-L{L}"] = _screen_levels([t] * L)[0]
+        cases[f"sw-L{L}"] = [sw] * L
+    for name, d in (("t2112", t), ("sw", sw)):
+        dr = reflect_decomposition(d)
+        cases[f"{name}-reflected-L2"] = [d, dr]
+        cases[f"{name}-reflected-L3"] = [d, dr, d]
+    return cases
+
+
+class TestVarianceMap:
+    @pytest.mark.parametrize("name", list(_variance_cases()))
+    def test_matches_brute_force_over_expanded_tensor(self, name):
+        """var[I,J] = sum_{ia,jb} sum_{k,k'} coeff(ia,k,jb,k',I,J)^2
+        |X_ia| |Y_jb| on the expanded product tensor."""
+        levels = _variance_cases()[name]
+        tensors = [tensor_of_decomposition(d) for d in levels]
+        full = tensors[0]
+        for t in tensors[1:]:
+            full = kronecker(full, t)
+        rng = np.random.default_rng(len(levels))
+        m = full.shape.q_i
+        sizes_x = rng.integers(0, 6, size=m)
+        sizes_y = rng.integers(0, 6, size=m)
+        ref = np.einsum("akblIJ,a,b->IJ", full.coeff ** 2,
+                        sizes_x.astype(float), sizes_y.astype(float))
+        V = _variance_map(tensors, sizes_x, sizes_y)
+        assert V.shape == (m, m)
+        assert np.allclose(V, ref, rtol=1e-12, atol=0.0)
+
+
 class TestVerify:
-    def test_planted_accept_random_reject(self):
+    def test_planted_accept_random_reject(self, monkeypatch):
         rho = 0.5
         inst = gen_planted(64, 2048, rho, seed=9)
         plan = plan_uniform(64, rho, strassen_decomposition(), d=2048)
-        plan.verify_dim = 2048
+        monkeypatch.setattr(solver, "VERIFY_DIM", 2048)
         i, j = inst.planted()
         rng = np.random.default_rng(123)
         accepted = 0

@@ -9,19 +9,21 @@ checkout, and compare the output:
     diff old.txt new.txt
 
 The grid covers both solvers on planted and null instances; rounds are
-capped at REPS so that null solves stay short.
+capped at REPS so that null solves stay short.  Each grid plan also scores
+one uniform bucket round and prints the sha256 of its scores C and of its
+variance map V, so a change that moves any bit of either shows, not only
+one that moves a flag.
 """
 
 import dataclasses
 import hashlib
 
-import numpy as np
-
 from lumen import zoo
 from lumen.core import MultiplyCounter
-from lumen.efficacy import StochasticPair, rho_joint_matrix, t2112_optimal_a
+from lumen.efficacy import rho_joint_matrix, t2112_flip_pair
 from lumen.instances import gen_planted
-from lumen.solver import plan_lsh, plan_uniform, solve_lsh, solve_uniform
+from lumen.solver import (bucket_uniform, detect, plan_lsh, plan_uniform,
+                          solve_lsh, solve_uniform)
 
 REPS = 6
 D = 256
@@ -35,15 +37,19 @@ def solves():
     for tensor, lsh, n, rho in GRID:
         decomp = zoo.zoo_decomposition(tensor)
         if lsh:
-            a = t2112_optimal_a(rho)
-            Q = np.array([[1 - a, a], [a, 1 - a]])
             plan = plan_lsh(n, rho_joint_matrix(rho), decomp,
-                            StochasticPair(Q, Q.copy()), d=D)
+                            t2112_flip_pair(rho), d=D)
             solve = solve_lsh
         else:
             plan = plan_uniform(n, rho, decomp, d=D)
             solve = solve_uniform
         plan = dataclasses.replace(plan, reps=min(plan.reps, REPS))
+        inst = gen_planted(n, D, rho, seed=900)
+        _, _, C, V = detect(bucket_uniform(inst, plan, 0), plan,
+                            return_scores=True)
+        yield (f"{tensor} lsh={lsh} n={n} round: kernel={plan.kernel} "
+               f"C={hashlib.sha256(C.tobytes()).hexdigest()} "
+               f"V={hashlib.sha256(V.tobytes()).hexdigest()}")
         for planted in (True, False):
             for seed in SEEDS:
                 inst = gen_planted(n, D, rho, seed=900 + seed, planted=planted)
