@@ -173,10 +173,18 @@ def main(argv=None) -> int:
     if args.cmd == "solve":
         decomp = zoo.zoo_decomposition(args.tensor, args.eps)
         if args.path:
-            inst = read_instance(args.path, load_sidecar=True)
+            try:
+                inst = read_instance(args.path, load_sidecar=True)
+            except OSError as e:
+                print(f"{args.path}: {e.strerror}", file=sys.stderr)
+                return 2
             if inst.q != 2:
                 print(f"{args.path}: the solvers need a q=2 instance, "
                       f"this one has q={inst.q}", file=sys.stderr)
+                return 2
+            if inst.rho is None:
+                print(f"{args.path}: the solvers need a scalar rho, this "
+                      f"instance has only a joint matrix P", file=sys.stderr)
                 return 2
         else:
             inst = gen_planted(args.n, args.d, args.rho, args.seed)
@@ -231,10 +239,12 @@ def main(argv=None) -> int:
         if args.decomp_file:
             from .core import decomposition_from_text
             from .harness import locate_corrupt_term
-            with open(args.decomp_file) as f:
-                text = f.read()
             try:
-                d = decomposition_from_text(text)
+                with open(args.decomp_file) as f:
+                    d = decomposition_from_text(f.read())
+            except OSError as e:
+                print(f"{args.decomp_file}: {e.strerror}", file=sys.stderr)
+                return 2
             except ValueError as e:
                 print(f"{args.decomp_file}: {e}", file=sys.stderr)
                 return 2

@@ -11,11 +11,14 @@ Hashing solver: bucket indices are drawn per copy by pushing raw coordinates
 through the stochastic pair (Q_x, Q_y), the tensor is interleaved with its
 reflection, and the same round driver runs detection and verification.
 
-Detection kernels are numerically screened: an exact-matmul level product is
+Each plan builds its detection kernel once, as a Detector: every distinct
+planned level is screened numerically, an exact-matmul level product is
 computed as one BLAS product, and decompositions whose coefficient spread
 would destroy double precision at the planned power are replaced by the
 unit-term decomposition of their expanded tensor (dropping coefficients whose
-total variance share is negligible, checked and recorded on the plan).
+total variance share is negligible, checked and recorded on the plan).  The
+Detector also holds the forced digits of the subset_diag kernel and the
+per-level transfer matrices of the variance map, so rounds rebuild neither.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .aggregation import bucket_aggregate
 
 __all__ = [
     "SolverPlan",
+    "Detector",
     "BucketState",
     "DetectionReport",
     "plan_uniform",
@@ -65,24 +69,69 @@ class PlanError(Exception):
     pass
 
 
+@dataclass(frozen=True)
+class Detector:
+    """How a plan's detection step runs; built once by _build_detector.
+
+    kind is 'matmul' (one BLAS product), 'subset_diag' (gathers plus row
+    dots per off-digit pattern) or 'sweep' (the rank recursion).  levels are
+    the executable per-level decompositions, forced the L x 2 array of k
+    digits that the (0,1) and (1,0) off cells force (subset_diag only, else
+    None), weights the transposed per-level pair-weight matrices of the
+    variance sweep, and dropped_var the largest variance share a surrogate
+    level dropped.
+    """
+    kind: str
+    levels: tuple
+    forced: np.ndarray | None
+    weights: tuple
+    dropped_var: float
+
+    @property
+    def m(self) -> int:
+        """Bucket count per side."""
+        return math.prod(d.shape.q_i for d in self.levels)
+
+    @property
+    def d_prime(self) -> int:
+        """Detection coordinates per round."""
+        return math.prod(d.shape.q_k for d in self.levels)
+
+    def apply(self, A, B, counter: MultiplyCounter | None = None):
+        """Scores C of the sign-flipped m x d' aggregates A and B."""
+        if self.kind == "matmul":
+            if counter is not None:
+                counter.add(A.shape[0] * A.shape[1] * B.shape[0])
+            return A @ B.T
+        if self.kind == "subset_diag":
+            return _apply_subset_diag(self.forced, A, B, counter=counter)
+        return apply_power(self.levels, A.astype(np.float32),
+                           B.astype(np.float32), dtype=np.float32,
+                           counter=counter)
+
+    def variance(self, sizes_x, sizes_y) -> np.ndarray:
+        """Exact variance of every score cell given the realized sizes."""
+        if self.kind == "matmul":
+            return (np.outer(sizes_x, sizes_y).astype(np.float64)
+                    * self.d_prime)
+        return _variance_map(self.weights, sizes_x, sizes_y)
+
+
 @dataclass
 class SolverPlan:
     # headline parameters
     N: int                        # Kronecker power of the planning tensor
     f: float                      # base-level efficacy threshold
     S_f: np.ndarray               # q x q indicator of the threshold set
-    m: int                        # bucket count per side
     g: float                      # target bucket size n t / m
     t: int                        # copies per input per side
     reps: int
     detect_sigma: float
     symmetrized: bool
+    detector: Detector            # executable levels and how they run
     # execution detail
-    levels: list = field(default_factory=list)    # per-level Decomposition
     r: int = 2                    # expansion subset size
     rho_det: float = 0.0          # post-expansion correlation of the planted pair
-    d_prime: int = 0              # detection coordinates per round
-    kernel: str = "auto"
     lsh: bool = False
     qp: StochasticPair | None = None
     P: np.ndarray | None = None
@@ -90,14 +139,20 @@ class SolverPlan:
     # provenance of the closed-form plan quantities
     exponent: float = 0.0         # log rank / log(f sqrt|S_f|)
     p_round_est: float = 0.0
-    surrogate_dropped_var: float = 0.0
     notes: list = field(default_factory=list)
+
+    # read-only views of the detector
+    levels = property(lambda self: list(self.detector.levels))
+    kernel = property(lambda self: self.detector.kind)
+    surrogate_dropped_var = property(lambda self: self.detector.dropped_var)
+    m = property(lambda self: self.detector.m)
+    d_prime = property(lambda self: self.detector.d_prime)
 
 
 @dataclass
 class BucketState:
     m: int
-    mem_x: np.ndarray            # n x t bucket ids, -1 where a duplicate collapsed
+    mem_x: np.ndarray            # n x t sorted bucket ids, -1 where a repeat collapsed
     mem_y: np.ndarray
     sizes_x: np.ndarray          # realized |X_i|
     sizes_y: np.ndarray
@@ -203,114 +258,97 @@ def _unit_term_decomposition(t: Tensor, var_tol: float):
 def _subset_diag_pattern(t: Tensor):
     """For q = 2 unit-coefficient subset-of-matmul tensors whose diagonal
     output cells carry both k terms and whose off cells carry exactly one,
-    return the forced-k map {(0,1): k, (1,0): k}; else None."""
+    return the forced k digits (k at (0,1), k at (1,0)); else None."""
     if (t.shape.q_i, t.shape.q_j, t.shape.q_k) != (2, 2, 2):
         return None
     if not is_subset_of_matmul(t):
         return None
     c = t.coeff
-    forced = {}
-    for i in range(2):
-        for j in range(2):
-            ks = [k for k in range(2) if c[i, k, j, k, i, j] != 0]
-            vals = [c[i, k, j, k, i, j] for k in ks]
-            if any(abs(v - 1.0) > 1e-9 for v in vals):
-                return None
-            if i == j:
-                if len(ks) != 2:
-                    return None
-            else:
-                if len(ks) != 1:
-                    return None
-                forced[(i, j)] = ks[0]
-    return forced
+    forced = []
+    for i, j in ((0, 0), (1, 1), (0, 1), (1, 0)):
+        ks = [k for k in range(2) if c[i, k, j, k, i, j] != 0]
+        if any(abs(c[i, k, j, k, i, j] - 1.0) > 1e-9 for k in ks):
+            return None
+        if len(ks) != (2 if i == j else 1):
+            return None
+        if i != j:
+            forced.append(ks[0])
+    return tuple(forced)
 
 
-def _screen_levels(levels):
-    """Map each planned level to an executable decomposition.
+def _pair_weight_matrix(t: Tensor) -> np.ndarray:
+    """w[(ia,jb),(i,j)] = sum_k sum_k' coeff(ia,k,jb,k' -> i,j)^2, the per-level
+    transfer of squared coefficients used by the variance sweep."""
+    c2 = t.coeff ** 2
+    w = np.einsum("ikjlmn->ijmn", c2)
+    qi, qj = t.shape.q_i, t.shape.q_j
+    return w.reshape(qi * qj, qi * qj)
 
-    Returns (exec_levels, kernel, dropped_share): kernel is 'matmul' when every
-    level is exactly a matmul tensor (detection runs as one BLAS product),
+
+def _build_detector(levels) -> Detector:
+    """Screen each distinct planned level once and fix how detection runs.
+
+    A level whose coefficient spread would destroy double precision at this
+    power is replaced by the unit-term surrogate of its expanded tensor.  The
+    kind is 'matmul' when every planned level is exactly a matmul tensor,
     'subset_diag' when every executable level matches the forced/free digit
-    pattern (detection runs gather + row-dot per digit pattern), else 'sweep'.
+    pattern, else 'sweep'.
     """
-    exec_levels = []
-    dropped = 0.0
-    all_matmul = True
-    cache = {}
+    screened = {}
     for d in levels:
-        key = id(d)
-        if key not in cache:
-            t = tensor_of_decomposition(d)
-            cache[key] = (d, t)
-        d, t = cache[key]
-        if not _is_exact_matmul(t):
-            all_matmul = False
-        exec_levels.append((d, t))
-    L = len(exec_levels)
-    out = []
-    patterns = []
-    for d, t in exec_levels:
-        scale = _stability_scale(d)
+        if id(d) in screened:
+            continue
+        t = tensor_of_decomposition(d)
+        exec_d, exec_t, share = d, t, 0.0
         # relative error estimate of the full recursion: u * scale^L
-        if scale ** L * 1.1e-16 > STABILITY_TOL:
-            sd, share = _unit_term_decomposition(t, SURROGATE_VAR_TOL)
-            dropped = max(dropped, share)
-            out.append(sd)
-            patterns.append(_subset_diag_pattern(tensor_of_decomposition(sd)))
-        else:
-            out.append(d)
-            patterns.append(_subset_diag_pattern(t))
-    if all_matmul:
-        kernel = "matmul"
+        if _stability_scale(d) ** len(levels) * 1.1e-16 > STABILITY_TOL:
+            exec_d, share = _unit_term_decomposition(t, SURROGATE_VAR_TOL)
+            exec_t = tensor_of_decomposition(exec_d)
+        screened[id(d)] = (exec_d, _subset_diag_pattern(exec_t),
+                           _pair_weight_matrix(exec_t).T, share,
+                           _is_exact_matmul(t))
+    exec_levels, patterns, weights, shares, matmul = zip(
+        *(screened[id(d)] for d in levels))
+    forced = None
+    if all(matmul):
+        kind = "matmul"
     elif all(p is not None for p in patterns):
-        kernel = "subset_diag"
+        kind = "subset_diag"
+        forced = np.array(patterns, dtype=np.int64)
     else:
-        kernel = "sweep"
-    return out, kernel, dropped
+        kind = "sweep"
+    return Detector(kind, exec_levels, forced, weights, max(shares))
 
 
-def _apply_subset_diag(levels, A, B, counter: MultiplyCounter | None = None):
+def _bit_rows(k: int) -> np.ndarray:
+    """All 2^k rows of k binary digits, most significant first, in order."""
+    return (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+
+
+def _apply_subset_diag(forced, A, B, counter: MultiplyCounter | None = None):
     """Exact application of unit-coefficient diag-free/off-forced tensors.
 
-    Every output pair (I, J) determines its off digits (where I and J
-    disagree) and with them the forced k digits; the remaining digits
-    contribute a plain inner product.  Grouping cells by the off-digit
+    forced is the L x 2 array of k digits forced by the (0,1) and (1,0) off
+    cells of each level.  Every output pair (I, J) determines its off digits
+    (where I and J disagree) and with them the forced k digits; the remaining
+    digits contribute a plain inner product.  Grouping cells by the off-digit
     positions turns the whole C into gathers plus row-wise dot products;
     the multiply count is exactly prod(rank_l) as in the rank recursion.
     """
-    L = len(levels)
-    forced = [_subset_diag_pattern(tensor_of_decomposition(d)) for d in levels]
-    if any(f is None for f in forced):
-        raise ValueError("levels do not all match the subset_diag pattern")
+    L = len(forced)
     w = 1 << (L - 1 - np.arange(L))
     m = A.shape[0]
     A = np.ascontiguousarray(A, dtype=np.float32)
     B = np.ascontiguousarray(B, dtype=np.float32)
     C = np.zeros((m, m), dtype=np.float32)
-    f01 = np.array([f[(0, 1)] for f in forced], dtype=np.int64)
-    f10 = np.array([f[(1, 0)] for f in forced], dtype=np.int64)
     total = 0
-    for mask in range(1 << L):
-        off = np.nonzero((mask >> (L - 1 - np.arange(L))) & 1)[0]
-        free = np.nonzero(1 - ((mask >> (L - 1 - np.arange(L))) & 1))[0]
-        mo, mf = len(off), len(free)
-        chi = np.arange(1 << mo)
-        chi_bits = (chi[:, None] >> np.arange(mo - 1, -1, -1)[None, :]) & 1
-        x_off = chi_bits @ w[off] if mo else np.zeros(1, dtype=np.int64)
-        y_off = (1 - chi_bits) @ w[off] if mo else np.zeros(1, dtype=np.int64)
-        if mo:
-            koff_digits = np.where(chi_bits == 1, f10[off][None, :],
-                                   f01[off][None, :])
-            k_off = koff_digits @ w[off]
-        else:
-            k_off = np.zeros(1, dtype=np.int64)
-        sig = np.arange(1 << mf)
-        if mf:
-            sig_bits = (sig[:, None] >> np.arange(mf - 1, -1, -1)[None, :]) & 1
-            spread = sig_bits @ w[free]
-        else:
-            spread = np.zeros(1, dtype=np.int64)
+    for bits in _bit_rows(L):
+        off, free = np.nonzero(bits)[0], np.nonzero(1 - bits)[0]
+        chi = _bit_rows(len(off))         # x digit at each off position
+        x_off = chi @ w[off]
+        y_off = (1 - chi) @ w[off]
+        k_off = np.where(chi == 1, forced[off, 1], forced[off, 0]) @ w[off]
+        spread = _bit_rows(len(free)) @ w[free]
         xrow = x_off[:, None] + spread[None, :]
         yrow = y_off[:, None] + spread[None, :]
         kcol = k_off[:, None] + spread[None, :]
@@ -324,27 +362,17 @@ def _apply_subset_diag(levels, A, B, counter: MultiplyCounter | None = None):
     return C
 
 
-def _pair_weight_matrix(t: Tensor) -> np.ndarray:
-    """w[(ia,jb),(i,j)] = sum_k sum_k' coeff(ia,k,jb,k' -> i,j)^2, the per-level
-    transfer of squared coefficients used by the variance sweep."""
-    c2 = t.coeff ** 2
-    w = np.einsum("ikjlmn->ijmn", c2)
-    qi, qj = t.shape.q_i, t.shape.q_j
-    return w.reshape(qi * qj, qi * qj)
-
-
-def _variance_map(levels_tensors, sizes_x, sizes_y) -> np.ndarray:
+def _variance_map(weights, sizes_x, sizes_y) -> np.ndarray:
     """Exact realized-size variance of every output cell.
 
     var[I,J] = sum_{ia,jb} prod_l w_l[(ia_l,jb_l),(I_l,J_l)] |X_ia| |Y_jb|,
-    evaluated by sweeping the per-level ( q^2 x q^2 ) transfer matrices over
-    the interleaved outer product of the size vectors.
+    evaluated by sweeping the transposed per-level (q^2 x q^2) transfer
+    matrices in weights over the interleaved outer product of the size
+    vectors.  Levels are square (q_i = q_j), as the m x m bucket grid is.
     """
-    qis = [t.shape.q_i for t in levels_tensors]
-    qjs = [t.shape.q_j for t in levels_tensors]
-    sizes = _interleave(np.outer(sizes_x, sizes_y), qis, qjs, np.float64)
-    var = _sweep(sizes, [_pair_weight_matrix(t).T for t in levels_tensors])
-    return _uninterleave(var, qis, qjs)
+    qs = [math.isqrt(W.shape[0]) for W in weights]
+    sizes = _interleave(np.outer(sizes_x, sizes_y), qs, qs, np.float64)
+    return _uninterleave(_sweep(sizes, weights), qs, qs)
 
 
 def _phi(x: float) -> float:
@@ -467,30 +495,21 @@ def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int | None = None
             f"target; recovery may need more repetitions")
     p, sigma, t_copies, r, rho_det, N = best
 
-    levels = base_levels * N
-    m = q_lvl ** N
-    plan = SolverPlan(
-        N=N, f=f, S_f=S_f.astype(np.uint8), m=m, g=n * t_copies / m,
+    detector = _build_detector(base_levels * N)
+    return SolverPlan(
+        N=N, f=f, S_f=S_f.astype(np.uint8), g=n * t_copies / detector.m,
         t=t_copies, reps=reps, detect_sigma=float(sigma),
-        symmetrized=symmetrized, levels=levels, r=r, rho_det=rho_det,
-        d_prime=qk_lvl ** N,
+        symmetrized=symmetrized, detector=detector, r=r, rho_det=rho_det,
         exponent=exponent_bound(decomp.rank, f * math.sqrt(S_f.sum())),
-        p_round_est=p,
+        p_round_est=p, notes=notes + _surrogate_notes(detector),
     )
-    plan.notes.extend(notes)
-    _finalize_kernel(plan)
-    return plan
 
 
-def _finalize_kernel(plan: SolverPlan):
-    exec_levels, kernel, dropped = _screen_levels(plan.levels)
-    plan.levels = exec_levels
-    plan.kernel = kernel
-    plan.surrogate_dropped_var = dropped
-    if dropped > 0:
-        plan.notes.append(
-            f"detection decomposition replaced by unit-term surrogate; "
-            f"dropped variance share {dropped:.2e}")
+def _surrogate_notes(detector: Detector) -> list:
+    if detector.dropped_var == 0:
+        return []
+    return [f"detection decomposition replaced by unit-term surrogate; "
+            f"dropped variance share {detector.dropped_var:.2e}"]
 
 
 # ---------------------------------------------------------------------------
@@ -498,19 +517,9 @@ def _finalize_kernel(plan: SolverPlan):
 # ---------------------------------------------------------------------------
 
 def _dedupe_rows(mem: np.ndarray) -> np.ndarray:
-    """Collapse duplicate bucket ids within each row to -1."""
-    out = mem.astype(np.int64).copy()
-    srt = np.sort(out, axis=1)
-    dup_vals = srt[:, 1:][srt[:, 1:] == srt[:, :-1]]
-    if dup_vals.size:
-        for i in range(out.shape[0]):
-            seen = set()
-            row = out[i]
-            for c in range(row.size):
-                if row[c] in seen:
-                    row[c] = -1
-                else:
-                    seen.add(row[c])
+    """Sort each row's bucket ids and collapse repeats within a row to -1."""
+    out = np.sort(mem.astype(np.int64), axis=1)
+    out[:, 1:][out[:, 1:] == out[:, :-1]] = -1
     return out
 
 
@@ -568,19 +577,8 @@ def detect(state: BucketState, plan: SolverPlan,
     """
     A = state.agg_x * state.signs_x[:, None]
     B = state.agg_y * state.signs_y[:, None]
-    tensors = [tensor_of_decomposition(d) for d in plan.levels]
-    if plan.kernel == "matmul":
-        C = A @ B.T
-        if counter is not None:
-            counter.add(A.shape[0] * A.shape[1] * B.shape[0])
-        V = np.outer(state.sizes_x, state.sizes_y).astype(np.float64) * plan.d_prime
-    elif plan.kernel == "subset_diag":
-        C = _apply_subset_diag(plan.levels, A, B, counter=counter)
-        V = _variance_map(tensors, state.sizes_x, state.sizes_y)
-    else:
-        C = apply_power(plan.levels, A.astype(np.float32), B.astype(np.float32),
-                        dtype=np.float32, counter=counter)
-        V = _variance_map(tensors, state.sizes_x, state.sizes_y)
+    C = plan.detector.apply(A, B, counter=counter)
+    V = plan.detector.variance(state.sizes_x, state.sizes_y)
     with np.errstate(divide="ignore", invalid="ignore"):
         score = np.abs(C) / np.sqrt(V)
     score[~np.isfinite(score)] = 0.0
@@ -711,7 +709,6 @@ def plan_lsh(n: int, P: np.ndarray, decomp: Decomposition, qp: StochasticPair,
     N = max(1, math.ceil(math.log(20.0 * n) / math.log(q * q * g)))
     while (decomp.rank ** (2 * N) > RANK_BUDGET or 2 * N > LEVEL_BUDGET) and N > 1:
         N -= 1
-    levels = [decomp, reflect_decomposition(decomp)] * N
     m = q ** (2 * N)
     qk = t0.shape.q_k
     reps = reps if reps is not None else _default_reps(n)
@@ -746,16 +743,15 @@ def plan_lsh(n: int, P: np.ndarray, decomp: Decomposition, qp: StochasticPair,
     p_est, c, sigma, g_target = best
 
     f, S_f = _threshold_choice(table)
-    plan = SolverPlan(
-        N=N, f=f, S_f=S_f.astype(np.uint8), m=m, g=float(g_target),
+    detector = _build_detector([decomp, reflect_decomposition(decomp)] * N)
+    return SolverPlan(
+        N=N, f=f, S_f=S_f.astype(np.uint8), g=float(g_target),
         t=1, reps=reps, detect_sigma=float(sigma),
-        symmetrized=True, levels=levels, r=r, rho_det=rho_det,
-        d_prime=qk ** (2 * N), lsh=True, qp=qp, P=P, copies=c,
+        symmetrized=True, detector=detector, r=r, rho_det=rho_det,
+        lsh=True, qp=qp, P=P, copies=c,
         exponent=exponent_bound(decomp.rank, q * math.sqrt(g)),
-        p_round_est=p_est,
+        p_round_est=p_est, notes=_surrogate_notes(detector),
     )
-    _finalize_kernel(plan)
-    return plan
 
 
 def _lsh_p_round(table, PD_t, PD_r, N, lam, rho_det, sigma):

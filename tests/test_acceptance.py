@@ -22,7 +22,7 @@ from lumen.efficacy import (StochasticPair, design_q_matrices, eff_table,
 from lumen.harness import cmd_success_curve, exponent_rows
 from lumen.instances import SplitFamily, gen_planted
 from lumen.solver import (bucket_uniform, detect, lemma_checks, plan_uniform,
-                          _screen_levels)
+                          _build_detector)
 from lumen.zoo import (matmul_tensor, strassen_decomposition, sw_decomposition,
                        sw_target, t2112_decomposition, t2112_derivation_check,
                        t2112_limit_tensor, t2112_target, zoo_entries)
@@ -264,12 +264,9 @@ class TestCriterion9Calibration:
         inst = gen_planted(n, dim, 0.0, seed=99, planted=False)
         plan = plan_uniform(n, 0.8, t2112_decomposition(0.025, warn=False),
                             d=dim)
-        lv, kern, _ = _screen_levels([t2112_decomposition(0.025, warn=False)] * 4)
-        plan.levels = lv
-        plan.kernel = kern
+        plan.detector = _build_detector(
+            [t2112_decomposition(0.025, warn=False)] * 4)
         plan.N = 4
-        plan.m = 16
-        plan.d_prime = 16
         plan.detect_sigma = 10.0
         ratios = []
         flags_total = 0

@@ -10,7 +10,8 @@ import pytest
 
 from lumen.cli import main as cli_main
 from lumen.core import Decomposition, Rank1Term, tensor_of_decomposition
-from lumen.efficacy import dubiner_exponent, exponent_bound, omega_rho_t2112
+from lumen.efficacy import (dubiner_exponent, exponent_bound, omega_rho_t2112,
+                            rho_joint_matrix)
 from lumen.harness import (EXPONENTS_HEADER, SUCCESS_HEADER, cmd_exponents,
                            cmd_success_curve, cmd_verify,
                            exponent_rows, locate_corrupt_term, wilson_interval)
@@ -140,6 +141,22 @@ class TestCli:
         write_instance(path, gen_planted_p(16, 50, 4, P / P.sum(), seed=3))
         assert cli_main(["solve", "--path", path] + lsh) == 2
         assert "q=2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lsh", [[], ["--lsh"]])
+    def test_solve_refuses_file_without_scalar_rho(self, tmp_path, capsys,
+                                                   lsh):
+        path = str(tmp_path / "p2.bin")
+        write_instance(path, gen_planted_p(64, 128, 2, rho_joint_matrix(0.8),
+                                           seed=1))
+        assert cli_main(["solve", "--path", path] + lsh) == 2
+        assert "scalar rho" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["solve", "--path"],
+                                      ["verify", "--decomp-file"]])
+    def test_missing_file_exits_2(self, tmp_path, capsys, argv):
+        path = str(tmp_path / "nope")
+        assert cli_main(argv + [path]) == 2
+        assert capsys.readouterr().err == f"{path}: No such file or directory\n"
 
     def test_lemma_check_cli(self, capsys):
         assert cli_main(["lemma-check", "--seed", "1"]) == 0

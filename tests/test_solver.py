@@ -15,7 +15,8 @@ from lumen.instances import gen_planted
 from lumen.solver import (BucketState, PlanError, bucket_uniform, detect,
                           lemma_checks, plan_lsh, plan_uniform, skew_metrics,
                           solve_lsh, solve_uniform, verify_candidates,
-                          _apply_subset_diag, _screen_levels, _variance_map)
+                          _apply_subset_diag, _build_detector,
+                          _dedupe_rows, _pair_weight_matrix, _variance_map)
 from lumen.zoo import (matmul_tensor, strassen_decomposition,
                        sw_decomposition, t2112_decomposition)
 
@@ -118,6 +119,12 @@ class TestBucketUniform:
         i, j = inst.planted()
         assert 5 in st.mem_x[i] and 9 in st.mem_y[j]
 
+    def test_dedupe_rows(self):
+        """Rows with 0, 1 and 2 repeats: sorted, repeats collapsed to -1."""
+        mem = np.array([[3, 1, 2], [4, 0, 4], [5, 5, 5]])
+        assert _dedupe_rows(mem).tolist() == [[1, 2, 3], [0, 4, -1],
+                                              [5, -1, -1]]
+
 
 class TestDetect:
     def test_zero_aggregates_no_flags(self):
@@ -199,13 +206,8 @@ class TestDetect:
         inst = gen_planted(n, dim, 0.0, seed=7, planted=False)
         plan = plan_uniform(n, 0.8, t2112(), d=dim)
         # shrink to N=4 for the calibration run
-        from lumen.solver import _screen_levels
-        lv, kern, _ = _screen_levels([t2112()] * 4)
-        plan.levels = lv
-        plan.kernel = kern
+        plan.detector = _build_detector([t2112()] * 4)
         plan.N = 4
-        plan.m = 16
-        plan.d_prime = 16
         ratios = []
         for k in range(200):
             st = bucket_uniform(inst, plan, np.random.default_rng(2000 + k),
@@ -235,34 +237,73 @@ class TestDetect:
         assert np.allclose(V_r, V.T, rtol=1e-9)
 
 
+def _check_subset_diag(levels, seed):
+    """The subset_diag kernel on the detector's forced digits agrees with the
+    float64 rank recursion on its executed levels and runs exactly
+    prod(rank) multiplies."""
+    det = _build_detector(levels)
+    assert det.kind == "subset_diag"
+    L = len(levels)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((2 ** L, 2 ** L)).astype(np.float32)
+    B = rng.standard_normal((2 ** L, 2 ** L)).astype(np.float32)
+    counter = MultiplyCounter()
+    C = _apply_subset_diag(det.forced, A, B, counter=counter)
+    ref = apply_power(det.levels, A, B, dtype=np.float64)
+    assert np.abs(C - ref).max() <= 1e-4 * np.abs(ref).max()
+    assert counter.count == math.prod(d.rank for d in det.levels)
+
+
 class TestSubsetDiagKernel:
     @pytest.mark.parametrize("L", range(1, 7))
     def test_oracle_equivalence_and_count(self, L):
-        """The subset_diag kernel agrees with the float64 rank recursion on
-        the executed t2112 levels and runs exactly prod(rank) multiplies."""
-        levels, kernel, _ = _screen_levels([t2112()] * L)
-        rng = np.random.default_rng(L)
-        A = rng.standard_normal((2 ** L, 2 ** L)).astype(np.float32)
-        B = rng.standard_normal((2 ** L, 2 ** L)).astype(np.float32)
-        if kernel != "subset_diag":
-            # one stable level keeps the 1/eps identity, which the kernel
-            # does not match and must refuse
-            assert L == 1
-            with pytest.raises(ValueError):
-                _apply_subset_diag(levels, A, B)
+        if L == 1:
+            # one stable level keeps the 1/eps identity, which does not
+            # match the subset_diag pattern
+            assert _build_detector([t2112()]).kind != "subset_diag"
             return
-        counter = MultiplyCounter()
-        C = _apply_subset_diag(levels, A, B, counter=counter)
-        ref = apply_power(levels, A, B, dtype=np.float64)
-        assert np.abs(C - ref).max() <= 1e-4 * np.abs(ref).max()
-        assert counter.count == math.prod(d.rank for d in levels)
+        _check_subset_diag([t2112()] * L, L)
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_interleaved_reflection(self, k):
+        """The levels the t2112 hashing plan runs: T and its reflection."""
+        t = t2112()
+        _check_subset_diag([t, reflect_decomposition(t)] * k, 10 + k)
+
+
+class TestDetector:
+    @pytest.mark.parametrize("name, lsh, kind", [
+        ("t2112", False, "subset_diag"), ("strassen", False, "matmul"),
+        ("sw", True, "sweep")])
+    def test_built_once(self, monkeypatch, name, lsh, kind):
+        """Planning builds the detector, one executable level per distinct
+        planned level; solving rounds never expand a decomposition again."""
+        d = {"t2112": t2112, "strassen": strassen_decomposition,
+             "sw": sw_decomposition}[name]()
+        rho = 0.6 if lsh else 0.8
+        if lsh:
+            plan = plan_lsh(64, rho_joint_matrix(rho), d, t2112_flip_pair(rho),
+                            d=256, reps=2)
+        else:
+            plan = plan_uniform(64, rho, d, d=256, reps=2)
+        assert plan.kernel == kind
+        assert len({id(lv) for lv in plan.levels}) == (2 if lsh else 1)
+
+        def refuse(decomp):
+            raise AssertionError("decomposition expanded after planning")
+
+        monkeypatch.setattr(solver, "tensor_of_decomposition", refuse)
+        solve = solve_lsh if lsh else solve_uniform
+        inst = gen_planted(64, 256, rho, seed=14)
+        rep = solve(inst, d, plan=plan, seed=0, early_stop=False)
+        assert rep.rounds_run == 2
 
 
 def _variance_cases():
     sw, t = sw_decomposition(), t2112()
     cases = {}
     for L in (1, 2, 3):
-        cases[f"t2112-screened-L{L}"] = _screen_levels([t] * L)[0]
+        cases[f"t2112-screened-L{L}"] = _build_detector([t] * L).levels
         cases[f"sw-L{L}"] = [sw] * L
     for name, d in (("t2112", t), ("sw", sw)):
         dr = reflect_decomposition(d)
@@ -287,7 +328,8 @@ class TestVarianceMap:
         sizes_y = rng.integers(0, 6, size=m)
         ref = np.einsum("akblIJ,a,b->IJ", full.coeff ** 2,
                         sizes_x.astype(float), sizes_y.astype(float))
-        V = _variance_map(tensors, sizes_x, sizes_y)
+        weights = tuple(_pair_weight_matrix(t).T for t in tensors)
+        V = _variance_map(weights, sizes_x, sizes_y)
         assert V.shape == (m, m)
         assert np.allclose(V, ref, rtol=1e-12, atol=0.0)
 
