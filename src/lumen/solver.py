@@ -73,9 +73,9 @@ class PlanError(Exception):
 class Detector:
     """How a plan's detection step runs; built once by _build_detector.
 
-    kind is 'matmul' (one BLAS product), 'subset_diag' (gathers plus row
-    dots per off-digit pattern) or 'sweep' (the rank recursion).  levels are
-    the executable per-level decompositions, forced the L x 2 array of k
+    kind is 'matmul' (one BLAS product), 'subset_diag' (strided copies plus
+    row dots per off-digit pattern) or 'sweep' (the rank recursion).  levels
+    are the executable per-level decompositions, forced the L x 2 array of k
     digits that the (0,1) and (1,0) off cells force (subset_diag only, else
     None), weights the transposed per-level pair-weight matrices of the
     variance sweep, and dropped_var the largest variance share a surrogate
@@ -320,9 +320,12 @@ def _build_detector(levels) -> Detector:
     return Detector(kind, exec_levels, forced, weights, max(shares))
 
 
-def _bit_rows(k: int) -> np.ndarray:
-    """All 2^k rows of k binary digits, most significant first, in order."""
-    return (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+def _digit_view(M: np.ndarray, row: int, col: int, steps) -> np.ndarray:
+    """View of M from cell (row, col) with one size-2 axis per (row, column)
+    step in steps; steps may be negative but stay inside M."""
+    rs, cs = M.strides
+    return np.lib.stride_tricks.as_strided(
+        M[row:, col:], (2,) * len(steps), [r * rs + c * cs for r, c in steps])
 
 
 def _apply_subset_diag(forced, A, B, counter: MultiplyCounter | None = None):
@@ -332,33 +335,32 @@ def _apply_subset_diag(forced, A, B, counter: MultiplyCounter | None = None):
     cells of each level.  Every output pair (I, J) determines its off digits
     (where I and J disagree) and with them the forced k digits; the remaining
     digits contribute a plain inner product.  Grouping cells by the off-digit
-    positions turns the whole C into gathers plus row-wise dot products;
+    positions turns the whole C into row-wise dot products of (chi, s, s')
+    blocks, copied from strided views of A and B with one axis per digit;
     the multiply count is exactly prod(rank_l) as in the rank recursion.
     """
     L = len(forced)
     w = 1 << (L - 1 - np.arange(L))
-    m = A.shape[0]
     A = np.ascontiguousarray(A, dtype=np.float32)
     B = np.ascontiguousarray(B, dtype=np.float32)
-    C = np.zeros((m, m), dtype=np.float32)
-    total = 0
-    for bits in _bit_rows(L):
-        off, free = np.nonzero(bits)[0], np.nonzero(1 - bits)[0]
-        chi = _bit_rows(len(off))         # x digit at each off position
-        x_off = chi @ w[off]
-        y_off = (1 - chi) @ w[off]
-        k_off = np.where(chi == 1, forced[off, 1], forced[off, 0]) @ w[off]
-        spread = _bit_rows(len(free)) @ w[free]
-        xrow = x_off[:, None] + spread[None, :]
-        yrow = y_off[:, None] + spread[None, :]
-        kcol = k_off[:, None] + spread[None, :]
-        Ag = A[xrow[:, :, None], kcol[:, None, :]]
-        Bg = B[yrow[:, :, None], kcol[:, None, :]]
-        D = np.einsum("csk,csk->cs", Ag, Bg)
-        C[xrow, yrow] = D
-        total += D.size * spread.size
+    C = np.zeros((A.shape[0], B.shape[0]), dtype=np.float32)
+    for mask in range(1 << L):
+        bits = (mask >> (L - 1 - np.arange(L))) & 1 == 1
+        # off digit chi reads A[chi, f] and B[1 - chi, f], f = forced[l, chi],
+        # into C[chi, 1 - chi]; free digits range over x = y and over k
+        wo, wf = w[bits].tolist(), w[~bits].tolist()
+        dk = ((forced[bits, 1] - forced[bits, 0]) * w[bits]).tolist()
+        k0, y0 = int(forced[bits, 0] @ w[bits]), sum(wo)
+        free = [(v, 0) for v in wf] + [(0, v) for v in wf]
+        Ag = _digit_view(A, 0, k0, list(zip(wo, dk)) + free)
+        Bg = _digit_view(B, y0, k0, [(-v, d) for v, d in zip(wo, dk)] + free)
+        shape = (1 << len(wo), 1 << len(wf), 1 << len(wf))
+        D = np.einsum("csk,csk->cs", np.ascontiguousarray(Ag).reshape(shape),
+                      np.ascontiguousarray(Bg).reshape(shape))
+        Cv = _digit_view(C, 0, y0, [(v, -v) for v in wo] + [(v, v) for v in wf])
+        Cv[...] = D.reshape(Cv.shape)
     if counter is not None:
-        counter.add(total)
+        counter.add(6 ** L)      # 2 x 2 diagonal and 2 off products a level
     return C
 
 
