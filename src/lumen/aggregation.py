@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import SplitFamily, _half_products
+from .instances import SplitFamily
 
 __all__ = [
     "AggregationTask",
@@ -23,6 +23,18 @@ __all__ = [
     "bucket_aggregate",
     "bench_aggregation",
 ]
+
+
+def _half_products(bits: np.ndarray, subsets) -> np.ndarray:
+    """Bit-parity of each subset per row: n x len(subsets) in {0,1}."""
+    n = bits.shape[0]
+    out = np.zeros((n, len(subsets)), dtype=np.uint8)
+    for idx, S in enumerate(subsets):
+        acc = bits[:, S[0]].copy()
+        for c in S[1:]:
+            acc ^= bits[:, c]
+        out[:, idx] = acc
+    return out
 
 
 @dataclass(frozen=True)

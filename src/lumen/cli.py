@@ -16,7 +16,8 @@ from .efficacy import (design_q_matrices, eff_table, exponent_bound,
                        t2112_flip_pair)
 from .harness import cmd_exponents, cmd_success_curve, cmd_verify
 from .instances import gen_planted, read_instance, write_instance
-from .solver import lemma_checks, plan_lsh, plan_uniform, solve_lsh, solve_uniform
+from .solver import (PlanError, lemma_checks, plan_lsh, plan_uniform,
+                     solve_lsh, solve_uniform)
 from .aggregation import bench_aggregation
 
 
@@ -164,43 +165,48 @@ def main(argv=None) -> int:
         return 0
 
     if args.cmd == "gen":
-        inst = gen_planted(args.n, args.d, args.rho, args.seed,
-                           planted=not args.null)
+        try:
+            inst = gen_planted(args.n, args.d, args.rho, args.seed,
+                               planted=not args.null)
+        except ValueError as e:
+            print(f"lumen gen: {e}", file=sys.stderr)
+            return 2
         write_instance(args.path, inst)
         print(f"wrote {args.path} (n={args.n} d={args.d} rho={args.rho})")
         return 0
 
     if args.cmd == "solve":
         decomp = zoo.zoo_decomposition(args.tensor, args.eps)
-        if args.path:
-            try:
+        try:
+            if args.path:
                 inst = read_instance(args.path, load_sidecar=True)
-            except OSError as e:
-                print(f"{args.path}: {e.strerror}", file=sys.stderr)
-                return 2
-            if inst.q != 2:
-                print(f"{args.path}: the solvers need a q=2 instance, "
-                      f"this one has q={inst.q}", file=sys.stderr)
-                return 2
-            if inst.rho is None:
-                print(f"{args.path}: the solvers need a scalar rho, this "
-                      f"instance has only a joint matrix P", file=sys.stderr)
-                return 2
-        else:
-            inst = gen_planted(args.n, args.d, args.rho, args.seed)
-        counter = MultiplyCounter()
-        t0 = time.perf_counter()
-        if args.lsh:
-            plan = plan_lsh(inst.n, rho_joint_matrix(inst.rho), decomp,
-                            t2112_flip_pair(inst.rho), d=inst.d,
-                            reps=args.reps, detect_sigma=args.sigma)
-            rep = solve_lsh(inst, decomp, plan=plan, seed=args.seed,
-                            counter=counter)
-        else:
-            plan = plan_uniform(inst.n, inst.rho, decomp, d=inst.d,
+                if inst.q != 2:
+                    print(f"{args.path}: the solvers need a q=2 instance, "
+                          f"this one has q={inst.q}", file=sys.stderr)
+                    return 2
+                if inst.rho is None:
+                    print(f"{args.path}: the solvers need a scalar rho, this "
+                          f"instance has only a joint matrix P", file=sys.stderr)
+                    return 2
+            else:
+                inst = gen_planted(args.n, args.d, args.rho, args.seed)
+            t0 = time.perf_counter()
+            if args.lsh:
+                plan = plan_lsh(inst.n, rho_joint_matrix(inst.rho), decomp,
+                                t2112_flip_pair(inst.rho), d=inst.d,
                                 reps=args.reps, detect_sigma=args.sigma)
-            rep = solve_uniform(inst, decomp, plan=plan, seed=args.seed,
-                                counter=counter)
+            else:
+                plan = plan_uniform(inst.n, inst.rho, decomp, d=inst.d,
+                                    reps=args.reps, detect_sigma=args.sigma)
+        except OSError as e:
+            print(f"{args.path}: {e.strerror}", file=sys.stderr)
+            return 2
+        except (PlanError, ValueError) as e:
+            print(f"lumen solve: {e}", file=sys.stderr)
+            return 2
+        counter = MultiplyCounter()
+        solve = solve_lsh if args.lsh else solve_uniform
+        rep = solve(inst, decomp, plan=plan, seed=args.seed, counter=counter)
         wall = time.perf_counter() - t0
         out = {
             "plan": {"N": plan.N, "m": plan.m, "t": plan.t, "g": plan.g,

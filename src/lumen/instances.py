@@ -7,7 +7,6 @@ products go through XOR + popcount.  Larger alphabets use one byte per symbol.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import struct
@@ -217,45 +216,33 @@ def default_subset_size(d: int, rho: float, needed: int,
             raise ValueError(f"family of d={d} too small for {needed} coordinates")
 
 
-def _half_products(bits: np.ndarray, subsets) -> np.ndarray:
-    """Bit-parity of each subset per row: n x len(subsets) in {0,1}."""
-    n = bits.shape[0]
-    out = np.zeros((n, len(subsets)), dtype=np.uint8)
-    for idx, S in enumerate(subsets):
-        acc = bits[:, S[0]].copy()
-        for c in S[1:]:
-            acc ^= bits[:, c]
-        out[:, idx] = acc
-    return out
-
-
 def expand_vectors(bits: np.ndarray, r: int, m: int, offset: int = 0,
                    family: SplitFamily | None = None) -> np.ndarray:
     """Expanded {0,1} parity array for m consecutive family elements.
 
     Entry S of the expanded +-1 vector is the coordinate product over S; in
-    bit form that is the XOR of the member bits.  The window starts at field
-    `offset` (wrapping around the family) so repeated detection rounds can use
-    fresh, pairwise-independent coordinates.  r = 1 is the identity embedding
-    over single coordinates.
+    bit form that is the XOR of the member bits, read straight from the
+    window's m x r coordinate columns.  The window starts at field `offset`
+    (wrapping around the family) so repeated detection rounds can use fresh,
+    pairwise-independent coordinates.  r = 1 is the identity embedding over
+    single coordinates.
     """
     n, d = bits.shape
     if r == 1:
         if m > d:
             raise ValueError(f"asked for {m} coordinates, have {d}")
-        idx = (offset + np.arange(m)) % d
-        return bits[:, idx]
-    fam = family or SplitFamily(d, r)
-    if m > fam.size:
-        raise ValueError(f"asked for {m} coordinates, family has {fam.size}")
-    s1, s2 = fam.half_subsets()
-    h1 = _half_products(bits, s1)
-    h2 = _half_products(bits, s2)
-    m2 = len(s2)
-    idx = fam.window(m, offset)
-    a = idx // m2
-    b = idx % m2
-    return h1[:, a] ^ h2[:, b]
+        cols = ((offset + np.arange(m)) % d)[:, None]
+    else:
+        fam = family or SplitFamily(d, r)
+        if m > fam.size:
+            raise ValueError(f"asked for {m} coordinates, family has {fam.size}")
+        s1, s2 = (np.array(s, dtype=np.intp) for s in fam.half_subsets())
+        idx = fam.window(m, offset)
+        cols = np.hstack([s1[idx // len(s2)], s2[idx % len(s2)]])
+    out = bits[:, cols[:, 0]]
+    for c in cols.T[1:]:
+        out ^= bits[:, c]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +357,7 @@ def _need(f, size: int, path: str):
 def read_instance(path: str, load_sidecar: bool = False) -> Instance:
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
-            raise ValueError("not an instance file")
+            raise ValueError(f"{path}: not an instance file")
         _need(f, 33, path)
         n, d, q, seed, has_p = struct.unpack("<QQQQB", f.read(33))
         if has_p:

@@ -63,6 +63,7 @@ NOISE_FUDGE = 1.35         # measured inflation of bucket-size noise vs the mean
 STABILITY_TOL = 1e-3       # max tolerated relative fp error estimate per apply
 SURROGATE_VAR_TOL = 1e-3   # max variance share the surrogate may drop
 VERIFY_DIM = 1024          # max expanded coordinates per candidate check
+CAP_PAIRS = 200000         # stop collecting candidate pairs past this many
 
 
 class PlanError(Exception):
@@ -613,20 +614,14 @@ def verify_candidates(instance: Instance, pairs, plan: SolverPlan, rng,
     return [uniq[k] for k in range(len(uniq)) if inner[k] >= thresh]
 
 
-def _members(mem: np.ndarray, bucket: int):
-    rows = np.nonzero((mem == bucket).any(axis=1))[0]
-    return rows
-
-
-def _collect_candidates(state: BucketState, flags, cap_pairs: int = 200000):
+def _collect_candidates(state: BucketState, flags):
+    """Member pairs of each flagged bucket pair, in flag order."""
     pairs = []
     for i, j, _ in flags:
-        mx = _members(state.mem_x, i)
-        my = _members(state.mem_y, j)
-        for a in mx:
-            for b in my:
-                pairs.append((int(a), int(b)))
-        if len(pairs) > cap_pairs:
+        mx = np.nonzero((state.mem_x == i).any(axis=1))[0]
+        my = np.nonzero((state.mem_y == j).any(axis=1))[0]
+        pairs += [(int(a), int(b)) for a in mx for b in my]
+        if len(pairs) > CAP_PAIRS:
             break
     return pairs
 

@@ -15,7 +15,7 @@ from lumen.efficacy import (dubiner_exponent, exponent_bound, omega_rho_t2112,
 from lumen.harness import (EXPONENTS_HEADER, SUCCESS_HEADER, cmd_exponents,
                            cmd_success_curve, cmd_verify,
                            exponent_rows, locate_corrupt_term, wilson_interval)
-from lumen.instances import gen_planted_p, write_instance
+from lumen.instances import gen_planted, gen_planted_p, write_instance
 from lumen.zoo import matmul_tensor, strassen_decomposition, zoo_decomposition
 
 
@@ -157,6 +157,38 @@ class TestCli:
         path = str(tmp_path / "nope")
         assert cli_main(argv + [path]) == 2
         assert capsys.readouterr().err == f"{path}: No such file or directory\n"
+
+    @pytest.mark.parametrize("content, why", [
+        (b"garbage", "not an instance file"),
+        (40, "truncated instance file")])
+    def test_solve_unreadable_file_exits_2(self, tmp_path, capsys, content,
+                                           why):
+        path = str(tmp_path / "g.bin")
+        if isinstance(content, int):
+            write_instance(path, gen_planted(64, 128, 0.8, seed=2))
+            with open(path, "rb") as f:
+                content = f.read(content)
+        with open(path, "wb") as f:
+            f.write(content)
+        assert cli_main(["solve", "--path", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{path}: {why}" in err
+
+    @pytest.mark.parametrize("argv, why", [
+        (["solve", "--n", "64", "--d", "4", "--rho", "0.8"],
+         "no runnable configuration"),
+        (["solve", "--lsh", "--rho", "0", "--n", "64", "--d", "128"],
+         "no correlated sign mapping"),
+        (["solve", "--rho", "1.5"], "rho must lie in [0, 1]"),
+        (["gen", "x.bin", "--n", "64", "--d", "128", "--rho", "2"],
+         "rho must lie in [0, 1]")])
+    def test_infeasible_input_exits_2(self, tmp_path, monkeypatch, capsys,
+                                      argv, why):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and why in err
+        assert not (tmp_path / "x.bin").exists()
 
     def test_lemma_check_cli(self, capsys):
         assert cli_main(["lemma-check", "--seed", "1"]) == 0

@@ -2,6 +2,7 @@
 
 import math
 import os
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -114,6 +115,30 @@ class TestExpansion:
         full = expand_vectors(bits, 2, 40, offset=11)
         part = expand_vectors(bits, 2, 13, offset=11)
         assert np.array_equal(full[:, :13], part)
+
+    @pytest.mark.parametrize("d, r", [(9, 1), (8, 2), (11, 2), (12, 4),
+                                      (13, 4), (12, 6), (14, 6)])
+    def test_matches_brute_force_subset_xor(self, d, r):
+        """Each window entry is the XOR of the bits over its split-family
+        subset, with windows that wrap past the end and cover the family."""
+        rng = np.random.default_rng(9)
+        bits = rng.integers(0, 2, size=(5, d), dtype=np.uint8)
+        if r == 1:
+            subsets = [(c,) for c in range(d)]
+        else:
+            h, d1 = r // 2, d // 2
+            subsets = [s1 + s2 for s1 in combinations(range(d1), h)
+                       for s2 in combinations(range(d1, d), h)]
+        size = len(subsets)
+        step = 1 if r == 1 else SplitFamily(d, r).stride
+        for m, offset in ((size, 0), (size, size - 1),
+                          (size // 2 + 1, 3 * size - 2), (1, size + 5)):
+            out = expand_vectors(bits, r, m, offset)
+            assert out.dtype == np.uint8 and out.shape == (5, m)
+            for k in range(m):
+                S = subsets[(offset + k * step) % size]
+                want = np.bitwise_xor.reduce(bits[:, list(S)], axis=1)
+                assert np.array_equal(out[:, k], want), (m, offset, k)
 
     def test_family_size_guard(self):
         bits = np.zeros((1, 8), dtype=np.uint8)

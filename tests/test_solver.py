@@ -299,6 +299,32 @@ class TestDetector:
         assert rep.rounds_run == 2
 
 
+class TestExpansionPath:
+    @pytest.mark.parametrize("name, lsh, n, rho", [
+        ("strassen", False, 256, 0.8), ("sw", True, 128, 0.6)])
+    def test_solves_build_no_half_product_tables(self, monkeypatch, name,
+                                                 lsh, n, rho):
+        """Rounds and verification expand windows from coordinate columns;
+        the half-product tables belong to the aggregation reference only."""
+        from lumen import aggregation, instances
+
+        def refuse(bits, subsets):
+            raise AssertionError("half-product table built on the solver path")
+
+        assert not hasattr(instances, "_half_products")
+        monkeypatch.setattr(aggregation, "_half_products", refuse)
+        d = {"strassen": strassen_decomposition, "sw": sw_decomposition}[name]()
+        if lsh:
+            plan = plan_lsh(n, rho_joint_matrix(rho), d, t2112_flip_pair(rho),
+                            d=256)
+        else:
+            plan = plan_uniform(n, rho, d, d=256)
+        inst = gen_planted(n, 256, rho, seed=901)
+        solve = solve_lsh if lsh else solve_uniform
+        rep = solve(inst, d, plan=plan, seed=1)
+        assert inst.planted() in rep.candidates
+
+
 def _variance_cases():
     sw, t = sw_decomposition(), t2112()
     cases = {}
