@@ -7,7 +7,7 @@ efficacy machinery that predicts which tensors detect at which exponents.
 """
 
 from .core import (Decomposition, MultiplyCounter, Rank1Term, Tensor,
-                   TensorShape, apply_direct, apply_power, blend_decomposition,
+                   TensorShape, apply_direct, apply_power,
                    decomposition_from_text, decomposition_to_text,
                    kron_decomposition, kronecker, reflect,
                    reflect_decomposition, tensor_of_decomposition)

@@ -17,7 +17,7 @@ from .efficacy import (design_q_matrices, eff_table, exponent_bound,
 from .harness import cmd_exponents, cmd_success_curve, cmd_verify
 from .instances import gen_planted, read_instance, write_instance
 from .solver import (PlanError, lemma_checks, plan_lsh, plan_uniform,
-                     solve_lsh, solve_uniform)
+                     solve_lsh, solve_uniform, verify_threshold)
 from .aggregation import bench_aggregation
 
 
@@ -171,7 +171,11 @@ def main(argv=None) -> int:
         except ValueError as e:
             print(f"lumen gen: {e}", file=sys.stderr)
             return 2
-        write_instance(args.path, inst)
+        try:
+            write_instance(args.path, inst)
+        except OSError as e:
+            print(f"{args.path}: {e.strerror}", file=sys.stderr)
+            return 2
         print(f"wrote {args.path} (n={args.n} d={args.d} rho={args.rho})")
         return 0
 
@@ -212,6 +216,7 @@ def main(argv=None) -> int:
             "plan": {"N": plan.N, "m": plan.m, "t": plan.t, "g": plan.g,
                      "reps": plan.reps, "detect_sigma": plan.detect_sigma,
                      "r": plan.r, "rho_det": plan.rho_det, "kernel": plan.kernel,
+                     "verify_threshold": verify_threshold(inst.d, plan.reps),
                      "symmetrized": plan.symmetrized, "lsh": plan.lsh,
                      "exponent": plan.exponent, "notes": plan.notes},
             "found": rep.found,

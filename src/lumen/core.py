@@ -31,7 +31,6 @@ __all__ = [
     "reflect_decomposition",
     "apply_direct",
     "apply_power",
-    "blend_decomposition",
     "decomposition_to_text",
     "decomposition_from_text",
     "MultiplyCounter",
@@ -205,18 +204,6 @@ def reflect_decomposition(d: Decomposition) -> Decomposition:
     if d.shape.q_i != d.shape.q_j:
         raise ShapeError("reflection needs q_i == q_j")
     return Decomposition(d.shape, tuple(t.reflect() for t in d.terms))
-
-
-def blend_decomposition(d1: Decomposition, a: int, d2: Decomposition, b: int,
-                        capacity: int = DEFAULT_CAPACITY) -> Decomposition:
-    """d1^(x)a kron d2^(x)b; rank multiplies accordingly."""
-    if a < 0 or b < 0 or a + b == 0:
-        raise ValueError("need nonnegative powers with a + b >= 1")
-    parts = [d1] * a + [d2] * b
-    out = parts[0]
-    for p in parts[1:]:
-        out = kron_decomposition(out, p, capacity)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ products go through XOR + popcount.  Larger alphabets use one byte per symbol.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 MAGIC = b"LBv1"
+MIN_SIGNAL = 0.05       # smallest planted correlation rho^r an expansion keeps
 
 
 @dataclass(frozen=True)
@@ -121,16 +123,13 @@ def unpack_bits(words: np.ndarray, d: int) -> np.ndarray:
     return bits.reshape(n, nw * 64)[:, :d].copy()
 
 
-def packed_inner(wx: np.ndarray, wy: np.ndarray, d: int):
-    """<x, y> for +-1 vectors stored as bit words: d - 2 * popcount(x ^ y).
+def packed_inner(wx: np.ndarray, wy: np.ndarray, d: int) -> np.ndarray:
+    """Row-wise <x, y> of +-1 vectors stored as n x words bit arrays:
+    d - 2 * popcount(x ^ y), as an int64 array of n values.
 
     Padding bits are zero in both operands so they cancel in the XOR.
     """
-    x = np.atleast_2d(wx)
-    y = np.atleast_2d(wy)
-    pops = np.bitwise_count(x ^ y).sum(axis=1).astype(np.int64)
-    out = d - 2 * pops
-    return out if out.size > 1 else int(out[0])
+    return d - 2 * np.bitwise_count(wx ^ wy).sum(axis=1, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +197,18 @@ class SplitFamily:
         return (offset + np.arange(m, dtype=np.int64) * self.stride) % total
 
 
-def default_subset_size(d: int, rho: float, needed: int,
-                        min_signal: float = 0.05) -> int:
+def default_subset_size(d: int, rho: float, needed: int) -> int:
     """Smallest even r whose family covers `needed` coordinates while keeping
-    rho^r at or above min_signal."""
+    rho^r at or above MIN_SIGNAL."""
     r = 2
     while True:
         fam = SplitFamily(d, r)
         if fam.size >= needed:
-            if rho == 0 or rho ** r >= min_signal or r == 2:
+            if rho == 0 or rho ** r >= MIN_SIGNAL or r == 2:
                 return r
             raise ValueError(
                 f"cannot reach {needed} expanded coordinates with rho^r >= "
-                f"{min_signal} at d={d}, rho={rho}")
+                f"{MIN_SIGNAL} at d={d}, rho={rho}")
         r += 2
         if r > d:
             raise ValueError(f"family of d={d} too small for {needed} coordinates")
@@ -321,7 +319,7 @@ def sidecar_path(path: str) -> str:
     return path + ".sidecar.json"
 
 
-def write_instance(path: str, inst: Instance, write_sidecar: bool = True):
+def write_instance(path: str, inst: Instance):
     """Header: magic, n, d, q, seed, mode flag, P entries as f64; payload is
     row-major packed bits (q=2) or raw symbol bytes.  Planted indices go to a
     detachable sidecar so solve runs stay honest."""
@@ -343,7 +341,7 @@ def write_instance(path: str, inst: Instance, write_sidecar: bool = True):
         else:
             inst.X.astype(np.uint8).tofile(f)
             inst.Y.astype(np.uint8).tofile(f)
-    if write_sidecar and inst._planted is not None:
+    if inst._planted is not None:
         with open(sidecar_path(path), "w") as f:
             json.dump({"i": inst._planted[0], "j": inst._planted[1]}, f)
 
@@ -382,11 +380,14 @@ def read_instance(path: str, load_sidecar: bool = False) -> Instance:
             Y = np.fromfile(f, dtype=np.uint8, count=n * d).reshape(n, d)
     hidden = None
     if load_sidecar:
+        side = sidecar_path(path)
         try:
-            with open(sidecar_path(path)) as f:
+            with open(side) as f:
                 j = json.load(f)
-            hidden = (j["i"], j["j"])
+            hidden = (operator.index(j["i"]), operator.index(j["j"]))
         except FileNotFoundError:
             pass
+        except (ValueError, KeyError, TypeError) as e:
+            raise ValueError(f"{side}: bad sidecar: {e!r}") from None
     return Instance(int(n), int(d), int(q), X, Y,
                     None if has_p else float(rho), P, int(seed), hidden)

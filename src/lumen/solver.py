@@ -4,7 +4,7 @@ Uniform solver: every input is copied into t random buckets per side; bucket
 sums of expanded +-1 vectors are sign-randomized and multiplied through the
 Kronecker power of the chosen tensor; output cells whose standardized score
 clears the plan threshold name candidate bucket pairs, whose members are then
-verified by direct inner products on fresh coordinates.  Rounds redraw
+verified by their inner products over all d raw bits.  Rounds redraw
 buckets, coordinates, and signs; a verified pair ends the run.
 
 Hashing solver: bucket indices are drawn per copy by pushing raw coordinates
@@ -35,7 +35,7 @@ from .efficacy import (StochasticPair, eff_table, exponent_bound, gamma,
                        is_subset_of_matmul, rho_joint_matrix,
                        typeclass_capacity)
 from .instances import (Instance, SplitFamily, default_subset_size,
-                        expand_vectors, map_to_pm1)
+                        expand_vectors, map_to_pm1, pack_bits, packed_inner)
 from .aggregation import bucket_aggregate
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "plan_lsh",
     "solve_lsh",
     "verify_candidates",
+    "verify_threshold",
     "skew_metrics",
     "lemma_checks",
     "PlanError",
@@ -62,8 +63,8 @@ SIGMA_CANDIDATES = (10.0, 8.0, 6.0, 5.0, 4.5, 4.0, 3.5)
 NOISE_FUDGE = 1.35         # measured inflation of bucket-size noise vs the mean-field model
 STABILITY_TOL = 1e-3       # max tolerated relative fp error estimate per apply
 SURROGATE_VAR_TOL = 1e-3   # max variance share the surrogate may drop
-VERIFY_DIM = 1024          # max expanded coordinates per candidate check
 CAP_PAIRS = 200000         # stop collecting candidate pairs past this many
+VERIFY_DELTA = 1e-3        # chance a solve verifies any false pair, at most
 
 
 class PlanError(Exception):
@@ -448,16 +449,15 @@ def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int | None = None
 
     matmul_like = _is_exact_matmul(t0)
     reps = reps if reps is not None else _default_reps(n)
+    dim = d if d is not None else max(64, n // 2)
 
     best = None
     fallback = None
     N = 1
-    N_best = None
     while rank_lvl ** (N) <= RANK_BUDGET and N * len(base_levels) <= LEVEL_BUDGET:
         m = q_lvl ** N
         classes, _ = typeclass_capacity(level_table, N)
         # expansion comes per candidate N: coordinates per round
-        dim = d if d is not None else max(64, n // 2)
         try:
             r = default_subset_size(dim, rho, qk_lvl ** N * (reps + 1))
         except ValueError:
@@ -497,6 +497,7 @@ def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int | None = None
             f"per-round success estimate {best[0]:.3f} is below the planning "
             f"target; recovery may need more repetitions")
     p, sigma, t_copies, r, rho_det, N = best
+    _require_verifiable(rho, dim, reps)
 
     detector = _build_detector(base_levels * N)
     return SolverPlan(
@@ -506,6 +507,22 @@ def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int | None = None
         exponent=exponent_bound(decomp.rank, f * math.sqrt(S_f.sum())),
         p_round_est=p, notes=notes + _surrogate_notes(detector),
     )
+
+
+def verify_threshold(d: int, reps: int) -> float:
+    """Least raw +-1 inner product that verifies.  An independent pair
+    reaches tau over d bits with chance at most exp(-tau^2 / 2d) (Hoeffding);
+    a solve checks about reps * CAP_PAIRS pairs at most, so this tau keeps
+    its chance of verifying any false pair under VERIFY_DELTA."""
+    return math.sqrt(2.0 * d * math.log(reps * CAP_PAIRS / VERIFY_DELTA))
+
+
+def _require_verifiable(rho: float, d: int, reps: int):
+    """Refuse a plan whose planted pair's mean raw score rho d is below tau."""
+    tau = verify_threshold(d, reps)
+    if rho * d < tau:
+        raise PlanError(f"rho * d = {rho * d:.1f} is below the verification "
+                        f"threshold {tau:.1f} at d={d}, reps={reps}")
 
 
 def _surrogate_notes(detector: Detector) -> list:
@@ -592,26 +609,16 @@ def detect(state: BucketState, plan: SolverPlan,
     return flags
 
 
-def verify_candidates(instance: Instance, pairs, plan: SolverPlan, rng,
-                      mapped_x: np.ndarray | None = None,
-                      mapped_y: np.ndarray | None = None):
-    """Keep pairs whose inner product on a fresh expanded window clears
-    rho_det * dim / 2."""
-    if not pairs:
-        return []
-    fam_src_x = mapped_x if mapped_x is not None else instance.X
-    fam_src_y = mapped_y if mapped_y is not None else instance.Y
-    fam = SplitFamily(instance.d, plan.r)
-    dim = min(VERIFY_DIM, fam.size)
-    offset = int(rng.integers(fam.size))
+def verify_candidates(instance: Instance, pairs, plan: SolverPlan,
+                      words_x: np.ndarray, words_y: np.ndarray):
+    """The distinct pairs, sorted, whose +-1 inner product over all d bits
+    reaches verify_threshold(d, plan.reps); words_x / words_y are the
+    pack_bits words of the bits (sign-mapped on the hashing path)."""
     uniq = sorted(set(pairs))
-    ai = np.array([p[0] for p in uniq])
-    bj = np.array([p[1] for p in uniq])
-    ex = expand_vectors(fam_src_x[ai], plan.r, dim, offset, fam)
-    ey = expand_vectors(fam_src_y[bj], plan.r, dim, offset, fam)
-    inner = dim - 2 * (ex ^ ey).sum(axis=1).astype(np.int64)
-    thresh = plan.rho_det * dim / 2.0
-    return [uniq[k] for k in range(len(uniq)) if inner[k] >= thresh]
+    ai, bj = np.array(uniq, dtype=np.intp).reshape(-1, 2).T
+    inner = packed_inner(words_x[ai], words_y[bj], instance.d)
+    tau = verify_threshold(instance.d, plan.reps)
+    return [p for p, s in zip(uniq, inner) if s >= tau]
 
 
 def _collect_candidates(state: BucketState, flags):
@@ -633,10 +640,10 @@ def _run_rounds(instance: Instance, plan: SolverPlan, seed: int, stream: int,
 
     Round k draws its buckets with draw(k, rng, offset) from the round's own
     RNG (spawn key (stream, k)) at a window offset that advances d' per
-    round; flagged bucket pairs' members are verified on fresh windows of
-    bits_x / bits_y.  Stops at the first verified pair unless early_stop is
-    off.
+    round; members of flagged bucket pairs are verified on packed bits_x /
+    bits_y.  Stops at the first verified pair unless early_stop is off.
     """
+    words_x, words_y = pack_bits(bits_x), pack_bits(bits_y)
     master = np.random.SeedSequence(seed)
     fam = SplitFamily(instance.d, plan.r)
     base_offset = int(np.random.default_rng(master.spawn(1)[0]).integers(fam.size))
@@ -652,8 +659,7 @@ def _run_rounds(instance: Instance, plan: SolverPlan, seed: int, stream: int,
         for i, j, _ in flags:
             hits[(i, j)] = hits.get((i, j), 0) + 1
         cand = _collect_candidates(state, flags)
-        good = verify_candidates(instance, cand, plan, rng,
-                                 mapped_x=bits_x, mapped_y=bits_y)
+        good = verify_candidates(instance, cand, plan, words_x, words_y)
         stats.append({"round": k, "flags": len(flags), "verified": len(good)})
         for p in good:
             if p not in candidates:
@@ -671,8 +677,8 @@ def solve_uniform(instance: Instance, decomp: Decomposition,
                   early_stop: bool = True,
                   counter: MultiplyCounter | None = None) -> DetectionReport:
     """Run up to plan.reps independent bucket+detect rounds with fresh
-    expansion windows; flagged buckets' member pairs are verified on further
-    fresh coordinates.  Stops at the first verified pair unless early_stop is
+    expansion windows; flagged buckets' member pairs are verified on their
+    raw bits.  Stops at the first verified pair unless early_stop is
     off.  An empty candidate list means nothing survived verification."""
     if plan is None:
         plan = plan_uniform(instance.n, instance.rho, decomp, d=instance.d)
@@ -718,6 +724,7 @@ def plan_lsh(n: int, P: np.ndarray, decomp: Decomposition, qp: StochasticPair,
     # conservative per-round estimate via the digit agreement law
     mapping = map_to_pm1(P)
     dim = d if d is not None else max(64, n // 2)
+    _require_verifiable(mapping.rho_out, dim, reps)
     r = default_subset_size(dim, mapping.rho_out, (qk ** (2 * N)) * (reps + 1))
     rho_det = mapping.rho_out ** r
 

@@ -6,7 +6,7 @@ import pytest
 from lumen import core
 from lumen.core import (CapacityError, Decomposition, MultiplyCounter,
                         Rank1Term, ShapeError, TensorShape, apply_direct,
-                        apply_power, blend_decomposition,
+                        apply_power,
                         decomposition_from_text, decomposition_to_text,
                         kron_decomposition, kronecker, reflect,
                         reflect_decomposition, tensor_of_decomposition,
@@ -275,17 +275,12 @@ class TestApplyRecursive:
 
 
 class TestBlend:
-    def test_identity_blend(self):
-        d = strassen_decomposition()
-        b = blend_decomposition(d, 1, sw_decomposition(), 0)
-        assert b.rank == d.rank
-        assert np.array_equal(tensor_of_decomposition(b).coeff,
-                              tensor_of_decomposition(d).coeff)
+    """Mixed Kronecker products of two decompositions."""
 
     def test_rank_and_eff_multiply(self):
         d1 = t2112_decomposition(0.025, warn=False)
         d2 = strassen_decomposition()
-        b = blend_decomposition(d1, 1, d2, 1)
+        b = kron_decomposition(d1, d2)
         assert b.rank == 35
         eb = eff_table(tensor_of_decomposition(b)).total
         e1 = eff_table(t2112_target(0.025)).total
@@ -293,8 +288,8 @@ class TestBlend:
         assert abs(eb - e1 * e2) < 1e-9
 
     def test_strassen_squared_via_blend(self):
-        b = blend_decomposition(strassen_decomposition(), 0,
-                                strassen_decomposition(), 2)
+        b = kron_decomposition(strassen_decomposition(),
+                               strassen_decomposition())
         assert b.rank == 49
         assert np.array_equal(tensor_of_decomposition(b).coeff,
                               matmul_tensor(4, 4).coeff)

@@ -181,7 +181,11 @@ class TestCli:
          "no correlated sign mapping"),
         (["solve", "--rho", "1.5"], "rho must lie in [0, 1]"),
         (["gen", "x.bin", "--n", "64", "--d", "128", "--rho", "2"],
-         "rho must lie in [0, 1]")])
+         "rho must lie in [0, 1]"),
+        (["solve", "--n", "256", "--d", "256", "--rho", "0.3"],
+         "rho * d = 76.8 is below the verification threshold 106.9"),
+        (["gen", "nodir/x.bin", "--n", "64", "--d", "128", "--rho", "0.5"],
+         "nodir/x.bin: No such file or directory")])
     def test_infeasible_input_exits_2(self, tmp_path, monkeypatch, capsys,
                                       argv, why):
         monkeypatch.chdir(tmp_path)

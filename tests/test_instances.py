@@ -68,9 +68,10 @@ class TestPackedArithmetic:
         wx, wy = pack_bits(X), pack_bits(Y)
         sx = 1 - 2 * X.astype(np.int64)
         sy = 1 - 2 * Y.astype(np.int64)
-        for k in range(100):
-            want = int(sx[k] @ sy[k])
-            assert packed_inner(wx[k:k + 1], wy[k:k + 1], d) == want
+        got = packed_inner(wx, wy, d)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, (sx * sy).sum(axis=1))
+        assert np.array_equal(packed_inner(wx[:1], wy[:1], d), [sx[0] @ sy[0]])
 
     def test_pack_round_trip(self):
         rng = np.random.default_rng(6)
@@ -271,6 +272,25 @@ class TestBinaryIO:
             f.write(head)
         with pytest.raises(ValueError, match="inst.bin: truncated"):
             read_instance(path)
+
+    @pytest.mark.parametrize("content, fault", [
+        ("{bad", "JSONDecodeError"), ('{"i": 1}', "KeyError"),
+        ("[1, 2]", "TypeError"), ('{"i": 1, "j": "2"}', "TypeError")])
+    def test_bad_sidecar_names_file_and_fault(self, tmp_path, capsys,
+                                              content, fault):
+        from lumen.cli import main as cli_main
+        path = str(tmp_path / "inst.bin")
+        write_instance(path, gen_planted(64, 128, 0.8, seed=13))
+        with open(sidecar_path(path), "w") as f:
+            f.write(content)
+        with pytest.raises(ValueError) as err:
+            read_instance(path, load_sidecar=True)
+        assert str(err.value).startswith(f"{sidecar_path(path)}: ")
+        assert fault in str(err.value)
+        assert cli_main(["solve", "--path", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert sidecar_path(path) in err
 
     def test_wide_alphabet_refused(self, tmp_path):
         P = np.full((300, 300), 1 / 300 ** 2)

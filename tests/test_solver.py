@@ -1,5 +1,6 @@
 """Solver: planning, bucketing, detection statistics, end-to-end recovery."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,10 +12,11 @@ from lumen.core import (MultiplyCounter, Rank1Term, Decomposition, Tensor,
                         reflect_decomposition, tensor_of_decomposition)
 from lumen.efficacy import (eff_table, exponent_bound, rho_joint_matrix,
                             t2112_flip_pair, t2112_optimal_a, uniform_pair)
-from lumen.instances import gen_planted
+from lumen.instances import gen_planted, pack_bits
 from lumen.solver import (BucketState, PlanError, bucket_uniform, detect,
                           lemma_checks, plan_lsh, plan_uniform, skew_metrics,
                           solve_lsh, solve_uniform, verify_candidates,
+                          verify_threshold,
                           _apply_subset_diag, _build_detector,
                           _dedupe_rows, _pair_weight_matrix, _variance_map)
 from lumen.zoo import (matmul_tensor, strassen_decomposition,
@@ -360,32 +362,78 @@ class TestVarianceMap:
         assert np.allclose(V, ref, rtol=1e-12, atol=0.0)
 
 
+def _verify(inst, pairs, plan):
+    return verify_candidates(inst, pairs, plan, pack_bits(inst.X),
+                             pack_bits(inst.Y))
+
+
 class TestVerify:
-    def test_planted_accept_random_reject(self, monkeypatch):
+    def test_planted_accept_random_reject(self):
         rho = 0.5
-        inst = gen_planted(64, 2048, rho, seed=9)
         plan = plan_uniform(64, rho, strassen_decomposition(), d=2048)
-        monkeypatch.setattr(solver, "VERIFY_DIM", 2048)
-        i, j = inst.planted()
-        rng = np.random.default_rng(123)
         accepted = 0
         rejected = 0
         for k in range(50):
-            got = verify_candidates(inst, [(i, j)], plan,
-                                    np.random.default_rng(200 + k))
-            accepted += bool(got)
-            got = verify_candidates(inst, [((i + 1) % 64, j)], plan,
-                                    np.random.default_rng(300 + k))
-            rejected += not got
+            inst = gen_planted(64, 2048, rho, seed=200 + k)
+            i, j = inst.planted()
+            accepted += bool(_verify(inst, [(i, j)], plan))
+            rejected += not _verify(inst, [((i + 1) % 64, j)], plan)
         assert accepted == 50
         assert rejected == 50
 
     def test_rho_one_deterministic(self):
         inst = gen_planted(16, 1024, 1.0, seed=10)
         plan = plan_uniform(16, 1.0, strassen_decomposition(), d=1024)
-        got = verify_candidates(inst, [inst.planted()], plan,
-                                np.random.default_rng(0))
-        assert got == [inst.planted()]
+        assert _verify(inst, [inst.planted()], plan) == [inst.planted()]
+
+    def test_scores_the_raw_inner_product(self):
+        """Every distinct pair, once and sorted, passes exactly when its +-1
+        inner product over all d bits reaches the threshold."""
+        inst = gen_planted(64, 256, 0.8, seed=15)
+        plan = plan_uniform(64, 0.8, strassen_decomposition(), d=256)
+        sx = 1 - 2 * inst.X.astype(np.int64)
+        sy = 1 - 2 * inst.Y.astype(np.int64)
+        tau = verify_threshold(256, plan.reps)
+        want = [(i, j) for i in range(64) for j in range(64)
+                if sx[i] @ sy[j] >= tau]
+        pairs = [(i, j) for i in range(64) for j in range(64)] * 2
+        assert _verify(inst, pairs, plan) == want == [inst.planted()]
+        assert _verify(inst, [], plan) == []
+
+    @staticmethod
+    def _sw_lsh_plan():
+        """sw on the hashing path at n=128, d=256, rho=0.6, capped at 6
+        rounds, as tools/report_digest.py plans it."""
+        plan = plan_lsh(128, rho_joint_matrix(0.6), sw_decomposition(),
+                        t2112_flip_pair(0.6), d=256)
+        return dataclasses.replace(plan, reps=6)
+
+    @pytest.mark.parametrize("inst_seed, seed", [(900, 0), (902, 2)])
+    def test_lsh_null_reports_no_pair(self, inst_seed, seed):
+        """These null solves verified a false pair when verification scored
+        an expanded window at rho_det * dim / 2."""
+        inst = gen_planted(128, 256, 0.6, seed=inst_seed, planted=False)
+        rep = solve_lsh(inst, sw_decomposition(), plan=self._sw_lsh_plan(),
+                        seed=seed)
+        assert not rep.found and rep.candidates == []
+        assert rep.rounds_run == 6
+
+    def test_lsh_planted_returns_only_the_planted_pair(self):
+        inst = gen_planted(128, 256, 0.6, seed=900)
+        rep = solve_lsh(inst, sw_decomposition(), plan=self._sw_lsh_plan(),
+                        seed=0)
+        assert rep.candidates == [inst.planted()]
+
+    @pytest.mark.parametrize("lsh", [False, True])
+    def test_unverifiable_plan_refused(self, lsh):
+        """rho * d = 76.8 is below the threshold 106.9 at d=256, 25 rounds."""
+        d = strassen_decomposition()
+        with pytest.raises(PlanError, match=r"rho \* d = 76\.8 .* 106\.9"):
+            if lsh:
+                plan_lsh(256, rho_joint_matrix(0.3), d, t2112_flip_pair(0.3),
+                         d=256)
+            else:
+                plan_uniform(256, 0.3, d, d=256)
 
 
 class TestSolveUniform:
