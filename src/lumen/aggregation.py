@@ -96,20 +96,21 @@ def aggregate_fast(task: AggregationTask) -> AggregateResult:
     return AggregateResult(full.ravel()[idx], mults)
 
 
-def bucket_aggregate(expanded_bits: np.ndarray, memberships, m_buckets: int,
-                     dtype=np.float32) -> np.ndarray:
+def bucket_aggregate(expanded_bits: np.ndarray, memberships: np.ndarray,
+                     m_buckets: int) -> np.ndarray:
     """Sum expanded +-1 rows into buckets.
 
     memberships: integer array (n, t) of bucket ids per input (duplicates
-    within a row already collapsed to a sentinel of -1).  Returns the
-    m_buckets x d aggregate matrix.
+    within a row already collapsed to a sentinel of -1); any other shape
+    raises ValueError.  Returns the m_buckets x d float32 aggregate matrix.
     """
     n, d = expanded_bits.shape
-    signs = (1.0 - 2.0 * expanded_bits).astype(dtype)
-    out = np.zeros((m_buckets, d), dtype=dtype)
-    mem = np.atleast_2d(memberships)
-    for c in range(mem.shape[1]):
-        col = mem[:, c]
+    if memberships.ndim != 2 or memberships.shape[0] != n:
+        raise ValueError(f"memberships {memberships.shape} are not {n} x t")
+    signs = (1.0 - 2.0 * expanded_bits).astype(np.float32)
+    out = np.zeros((m_buckets, d), dtype=np.float32)
+    for c in range(memberships.shape[1]):
+        col = memberships[:, c]
         ok = col >= 0
         np.add.at(out, col[ok], signs[ok])
     return out

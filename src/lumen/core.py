@@ -95,12 +95,6 @@ class Tensor:
         return (isinstance(other, Tensor) and self.shape == other.shape
                 and np.array_equal(self.coeff, other.coeff))
 
-    def allclose(self, other: "Tensor", rtol: float = 1e-12) -> bool:
-        if self.shape != other.shape:
-            return False
-        scale = max(np.abs(self.coeff).max(), np.abs(other.coeff).max(), 1e-300)
-        return bool(np.abs(self.coeff - other.coeff).max() <= rtol * scale)
-
 
 @dataclass(frozen=True)
 class Rank1Term:

@@ -214,9 +214,9 @@ def default_subset_size(d: int, rho: float, needed: int) -> int:
             raise ValueError(f"family of d={d} too small for {needed} coordinates")
 
 
-def expand_vectors(bits: np.ndarray, r: int, m: int, offset: int = 0,
-                   family: SplitFamily | None = None) -> np.ndarray:
-    """Expanded {0,1} parity array for m consecutive family elements.
+def expand_vectors(bits: np.ndarray, r: int, m: int,
+                   offset: int = 0) -> np.ndarray:
+    """Expanded {0,1} parities of m consecutive SplitFamily(d, r) elements.
 
     Entry S of the expanded +-1 vector is the coordinate product over S; in
     bit form that is the XOR of the member bits, read straight from the
@@ -231,7 +231,7 @@ def expand_vectors(bits: np.ndarray, r: int, m: int, offset: int = 0,
             raise ValueError(f"asked for {m} coordinates, have {d}")
         cols = ((offset + np.arange(m)) % d)[:, None]
     else:
-        fam = family or SplitFamily(d, r)
+        fam = SplitFamily(d, r)
         if m > fam.size:
             raise ValueError(f"asked for {m} coordinates, family has {fam.size}")
         s1, s2 = (np.array(s, dtype=np.intp) for s in fam.half_subsets())

@@ -153,7 +153,6 @@ class SolverPlan:
 
 @dataclass
 class BucketState:
-    m: int
     mem_x: np.ndarray            # n x t sorted bucket ids, -1 where a repeat collapsed
     mem_y: np.ndarray
     sizes_x: np.ndarray          # realized |X_i|
@@ -162,7 +161,6 @@ class BucketState:
     agg_y: np.ndarray
     signs_x: np.ndarray          # +-1 per bucket row
     signs_y: np.ndarray
-    offset: int                  # expansion window start
 
 
 @dataclass
@@ -172,7 +170,6 @@ class DetectionReport:
     flagged: list                # (bucket_i, bucket_j, hit_count) aggregated over rounds
     rounds_run: int
     stats: list                  # per-round dicts
-    plan: SolverPlan
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +408,10 @@ def _default_reps(n: int) -> int:
     return math.ceil(100 * math.log(n))
 
 
-def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int | None = None,
+def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int,
                  reps: int | None = None,
                  detect_sigma: float | None = None) -> SolverPlan:
-    """Derive run parameters for the uniform-bucket solver.
+    """Derive run parameters for the uniform-bucket solver on n d-bit inputs.
 
     The threshold pair (f, S_f) and the implied exponent follow the base-level
     f^2 |S_f| maximization; skewed threshold sets switch the plan to the
@@ -423,8 +420,10 @@ def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int | None = None
     classes at this instance size: the smallest configuration whose estimated
     per-round success clears P_ROUND_MIN is kept (the asymptotic constants
     would demand powers far past what double precision and desk runtimes
-    support; the scan is recorded on the plan).
+    support; the scan is recorded on the plan).  d is required; reps < 1 and
+    a non-positive detect_sigma raise PlanError.
     """
+    _check_run_options(reps, detect_sigma)
     t0 = tensor_of_decomposition(decomp)
     table0 = eff_table(t0)
     if table0.total <= 1.0:
@@ -449,7 +448,6 @@ def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int | None = None
 
     matmul_like = _is_exact_matmul(t0)
     reps = reps if reps is not None else _default_reps(n)
-    dim = d if d is not None else max(64, n // 2)
 
     best = None
     fallback = None
@@ -459,7 +457,7 @@ def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int | None = None
         classes, _ = typeclass_capacity(level_table, N)
         # expansion comes per candidate N: coordinates per round
         try:
-            r = default_subset_size(dim, rho, qk_lvl ** N * (reps + 1))
+            r = default_subset_size(d, rho, qk_lvl ** N * (reps + 1))
         except ValueError:
             N += 1
             continue
@@ -475,8 +473,7 @@ def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int | None = None
                 cand = (p, sigma, t_copies, r, rho_det, N)
                 if fallback is None or cand[0] > fallback[0]:
                     fallback = cand
-                miss_all = (1.0 - p) ** reps
-                if p >= P_ROUND_MIN and miss_all <= 0.02:
+                if _meets_target(p, reps):
                     # among feasible configs at this N keep the highest
                     # per-round success; ties favor the larger threshold
                     if (best is None or cand[0] > best[0] + 0.02
@@ -486,18 +483,14 @@ def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int | None = None
         if best is not None:
             break
         N += 1
-    notes = []
     if best is None:
         if fallback is None:
             raise PlanError(
                 f"no runnable configuration for n={n}, rho={rho} within the "
                 f"rank budget")
         best = fallback
-        notes.append(
-            f"per-round success estimate {best[0]:.3f} is below the planning "
-            f"target; recovery may need more repetitions")
     p, sigma, t_copies, r, rho_det, N = best
-    _require_verifiable(rho, dim, reps)
+    _require_verifiable(rho, d, reps)
 
     detector = _build_detector(base_levels * N)
     return SolverPlan(
@@ -505,7 +498,7 @@ def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int | None = None
         t=t_copies, reps=reps, detect_sigma=float(sigma),
         symmetrized=symmetrized, detector=detector, r=r, rho_det=rho_det,
         exponent=exponent_bound(decomp.rank, f * math.sqrt(S_f.sum())),
-        p_round_est=p, notes=notes + _surrogate_notes(detector),
+        p_round_est=p, notes=_plan_notes(p, reps, detector),
     )
 
 
@@ -525,11 +518,27 @@ def _require_verifiable(rho: float, d: int, reps: int):
                         f"threshold {tau:.1f} at d={d}, reps={reps}")
 
 
-def _surrogate_notes(detector: Detector) -> list:
-    if detector.dropped_var == 0:
-        return []
-    return [f"detection decomposition replaced by unit-term surrogate; "
-            f"dropped variance share {detector.dropped_var:.2e}"]
+def _check_run_options(reps, detect_sigma):
+    """Refuse reps < 1 and a detect_sigma that is not > 0 (NaN included)."""
+    if reps is not None and reps < 1:
+        raise PlanError(f"reps = {reps} is below 1")
+    if detect_sigma is not None and not detect_sigma > 0:
+        raise PlanError(f"detect_sigma = {detect_sigma} is not positive")
+
+
+def _meets_target(p: float, reps: int) -> bool:
+    """p reaches P_ROUND_MIN and all reps rounds miss with chance <= 2%."""
+    return p >= P_ROUND_MIN and (1.0 - p) ** reps <= 0.02
+
+
+def _plan_notes(p: float, reps: int, detector: Detector) -> list:
+    notes = [] if _meets_target(p, reps) else [
+        f"per-round success estimate {p:.3f} is below the planning target; "
+        f"recovery may need more repetitions"]
+    if detector.dropped_var != 0:
+        notes.append("detection decomposition replaced by unit-term surrogate;"
+                     f" dropped variance share {detector.dropped_var:.2e}")
+    return notes
 
 
 # ---------------------------------------------------------------------------
@@ -562,29 +571,28 @@ def bucket_uniform(instance: Instance, plan: SolverPlan, seed,
         i_star, j_star = instance.planted()
         mem_x[i_star, 0] = force_planted[0]
         mem_y[j_star, 0] = force_planted[1]
-    fam = SplitFamily(instance.d, plan.r)
     if offset is None:
-        offset = int(rng.integers(fam.size))
+        offset = int(rng.integers(SplitFamily(instance.d, plan.r).size))
     return _bucket_state(instance.X, instance.Y, mem_x, mem_y, plan, offset,
-                         rng, fam)
+                         rng)
 
 
 def _bucket_state(bits_x, bits_y, mem_x, mem_y, plan: SolverPlan,
-                  offset: int, rng, fam: SplitFamily) -> BucketState:
+                  offset: int, rng) -> BucketState:
     """Shared tail of both bucketers: collapse duplicate ids, aggregate the
     expanded window at offset, and draw one random sign per bucket row."""
     m = plan.m
     mem_x = _dedupe_rows(mem_x)
     mem_y = _dedupe_rows(mem_y)
-    ex = expand_vectors(bits_x, plan.r, plan.d_prime, offset, fam)
-    ey = expand_vectors(bits_y, plan.r, plan.d_prime, offset, fam)
+    ex = expand_vectors(bits_x, plan.r, plan.d_prime, offset)
+    ey = expand_vectors(bits_y, plan.r, plan.d_prime, offset)
     agg_x = bucket_aggregate(ex, mem_x, m)
     agg_y = bucket_aggregate(ey, mem_y, m)
     signs_x = (1.0 - 2.0 * rng.integers(0, 2, size=m)).astype(np.float32)
     signs_y = (1.0 - 2.0 * rng.integers(0, 2, size=m)).astype(np.float32)
-    return BucketState(m, mem_x, mem_y, _bucket_sizes(mem_x, m),
+    return BucketState(mem_x, mem_y, _bucket_sizes(mem_x, m),
                        _bucket_sizes(mem_y, m), agg_x, agg_y,
-                       signs_x, signs_y, offset)
+                       signs_x, signs_y)
 
 
 def detect(state: BucketState, plan: SolverPlan,
@@ -634,14 +642,13 @@ def _collect_candidates(state: BucketState, flags):
 
 
 def _run_rounds(instance: Instance, plan: SolverPlan, seed: int, stream: int,
-                draw, bits_x, bits_y, early_stop: bool,
-                counter: MultiplyCounter | None) -> DetectionReport:
+                draw, bits_x, bits_y, counter) -> DetectionReport:
     """The round loop both solvers share.
 
     Round k draws its buckets with draw(k, rng, offset) from the round's own
     RNG (spawn key (stream, k)) at a window offset that advances d' per
     round; members of flagged bucket pairs are verified on packed bits_x /
-    bits_y.  Stops at the first verified pair unless early_stop is off.
+    bits_y.  Stops after the first round that verifies a pair.
     """
     words_x, words_y = pack_bits(bits_x), pack_bits(bits_y)
     master = np.random.SeedSequence(seed)
@@ -659,27 +666,24 @@ def _run_rounds(instance: Instance, plan: SolverPlan, seed: int, stream: int,
         for i, j, _ in flags:
             hits[(i, j)] = hits.get((i, j), 0) + 1
         cand = _collect_candidates(state, flags)
-        good = verify_candidates(instance, cand, plan, words_x, words_y)
-        stats.append({"round": k, "flags": len(flags), "verified": len(good)})
-        for p in good:
-            if p not in candidates:
-                candidates.append(p)
-        if candidates and early_stop:
+        candidates = verify_candidates(instance, cand, plan, words_x, words_y)
+        stats.append({"round": k, "flags": len(flags),
+                      "verified": len(candidates)})
+        if candidates:
             break
     flagged = sorted(((i, j, c) for (i, j), c in hits.items()),
                      key=lambda x: -x[2])[:1000]
     return DetectionReport(bool(candidates), candidates, flagged, len(stats),
-                           stats, plan)
+                           stats)
 
 
 def solve_uniform(instance: Instance, decomp: Decomposition,
                   plan: SolverPlan | None = None, seed: int = 0,
-                  early_stop: bool = True,
                   counter: MultiplyCounter | None = None) -> DetectionReport:
     """Run up to plan.reps independent bucket+detect rounds with fresh
     expansion windows; flagged buckets' member pairs are verified on their
-    raw bits.  Stops at the first verified pair unless early_stop is
-    off.  An empty candidate list means nothing survived verification."""
+    raw bits.  Stops after the first round that verifies a pair.  An empty
+    candidate list means nothing survived verification."""
     if plan is None:
         plan = plan_uniform(instance.n, instance.rho, decomp, d=instance.d)
 
@@ -687,7 +691,7 @@ def solve_uniform(instance: Instance, decomp: Decomposition,
         return bucket_uniform(instance, plan, rng, offset=offset)
 
     return _run_rounds(instance, plan, seed, 1, draw, instance.X, instance.Y,
-                       early_stop, counter)
+                       counter)
 
 
 # ---------------------------------------------------------------------------
@@ -695,14 +699,16 @@ def solve_uniform(instance: Instance, decomp: Decomposition,
 # ---------------------------------------------------------------------------
 
 def plan_lsh(n: int, P: np.ndarray, decomp: Decomposition, qp: StochasticPair,
-             d: int | None = None, reps: int | None = None,
+             d: int, reps: int | None = None,
              detect_sigma: float | None = None) -> SolverPlan:
-    """Parameters for the hashing-boosted solver on the symmetrized tensor.
+    """Parameters for the hashing-boosted solver on n d-coordinate inputs.
 
     N solves (q^2 gamma)^N = 20 n (the polynomial analysis slack is dropped at
     this scale); buckets live on q^(2N) digit strings, each copy drawn by
     pushing 2N raw coordinates through Q_x then Q_y (mirrored on the y side).
+    reps and detect_sigma are checked as in plan_uniform.
     """
+    _check_run_options(reps, detect_sigma)
     t0 = tensor_of_decomposition(decomp)
     q = t0.shape.q_i
     P = np.asarray(P, float)
@@ -723,9 +729,8 @@ def plan_lsh(n: int, P: np.ndarray, decomp: Decomposition, qp: StochasticPair,
     PD_r = qp.Q_y.T @ P @ qp.Q_x
     # conservative per-round estimate via the digit agreement law
     mapping = map_to_pm1(P)
-    dim = d if d is not None else max(64, n // 2)
-    _require_verifiable(mapping.rho_out, dim, reps)
-    r = default_subset_size(dim, mapping.rho_out, (qk ** (2 * N)) * (reps + 1))
+    _require_verifiable(mapping.rho_out, d, reps)
+    r = default_subset_size(d, mapping.rho_out, (qk ** (2 * N)) * (reps + 1))
     rho_det = mapping.rho_out ** r
 
     sigma_grid = SIGMA_CANDIDATES if detect_sigma is None else (detect_sigma,)
@@ -754,7 +759,7 @@ def plan_lsh(n: int, P: np.ndarray, decomp: Decomposition, qp: StochasticPair,
         symmetrized=True, detector=detector, r=r, rho_det=rho_det,
         lsh=True, qp=qp, P=P, copies=c,
         exponent=exponent_bound(decomp.rank, q * math.sqrt(g)),
-        p_round_est=p_est, notes=_surrogate_notes(detector),
+        p_round_est=p_est, notes=_plan_notes(p_est, reps, detector),
     )
 
 
@@ -809,10 +814,11 @@ def _lsh_memberships(symbols: np.ndarray, Qs, copies: int, rng, q: int):
 
 def solve_lsh(instance: Instance, decomp: Decomposition,
               qp: StochasticPair | None = None, plan: SolverPlan | None = None,
-              seed: int = 0, early_stop: bool = True,
+              seed: int = 0,
               counter: MultiplyCounter | None = None) -> DetectionReport:
     """Hashing-boosted solve: bucket ids from Q-perturbed raw coordinates,
-    detection on sign-mapped fresh coordinates through the symmetrized tensor."""
+    detection on sign-mapped fresh coordinates through the symmetrized tensor.
+    Stops after the first round that verifies a pair."""
     if plan is None:
         if qp is None:
             raise ValueError("need a stochastic pair or a prebuilt plan")
@@ -831,7 +837,6 @@ def solve_lsh(instance: Instance, decomp: Decomposition,
     Q_x, Q_y = plan.qp.Q_x, plan.qp.Q_y
     Qs_x = [Q_x if (l % 2 == 0) else Q_y for l in range(L)]
     Qs_y = [Q_y if (l % 2 == 0) else Q_x for l in range(L)]
-    fam = SplitFamily(instance.d, plan.r)
 
     def draw(k, rng, offset):
         start = (k * L) % max(instance.d - L, 1)
@@ -839,11 +844,9 @@ def solve_lsh(instance: Instance, decomp: Decomposition,
         win_y = instance.Y[:, start:start + L]
         mem_x = _lsh_memberships(win_x, Qs_x, plan.copies, rng, q)
         mem_y = _lsh_memberships(win_y, Qs_y, plan.copies, rng, q)
-        return _bucket_state(bits_x, bits_y, mem_x, mem_y, plan, offset, rng,
-                             fam)
+        return _bucket_state(bits_x, bits_y, mem_x, mem_y, plan, offset, rng)
 
-    return _run_rounds(instance, plan, seed, 2, draw, bits_x, bits_y,
-                       early_stop, counter)
+    return _run_rounds(instance, plan, seed, 2, draw, bits_x, bits_y, counter)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Aggregation: naive vs fast equality, bounds, operation counts, crossover."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -106,3 +107,11 @@ class TestBucketAggregate:
                 if mem[i, c] >= 0:
                     want[mem[i, c]] += signs[i]
         assert np.allclose(out, want)
+
+    @pytest.mark.parametrize("shape", [(50,), (49, 2)])
+    def test_memberships_not_n_by_t_refused(self, shape):
+        bits = np.zeros((50, 32), dtype=np.uint8)
+        mem = np.zeros(shape, dtype=np.int64)
+        with pytest.raises(ValueError, match=re.escape(
+                f"memberships {shape} are not 50 x t")):
+            bucket_aggregate(bits, mem, 8)

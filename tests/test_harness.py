@@ -185,7 +185,15 @@ class TestCli:
         (["solve", "--n", "256", "--d", "256", "--rho", "0.3"],
          "rho * d = 76.8 is below the verification threshold 106.9"),
         (["gen", "nodir/x.bin", "--n", "64", "--d", "128", "--rho", "0.5"],
-         "nodir/x.bin: No such file or directory")])
+         "nodir/x.bin: No such file or directory"),
+        (["solve", "--n", "64", "--d", "512", "--rho", "0.8", "--tensor",
+          "strassen", "--reps", "0"], "reps = 0 is below 1"),
+        (["solve", "--n", "64", "--d", "512", "--rho", "0.8", "--tensor",
+          "strassen", "--reps", "-3"], "reps = -3 is below 1"),
+        (["solve", "--n", "64", "--d", "512", "--rho", "0.8", "--sigma",
+          "-1"], "detect_sigma = -1.0 is not positive"),
+        (["solve", "--lsh", "--n", "64", "--d", "512", "--rho", "0.8",
+          "--sigma", "nan"], "detect_sigma = nan is not positive")])
     def test_infeasible_input_exits_2(self, tmp_path, monkeypatch, capsys,
                                       argv, why):
         monkeypatch.chdir(tmp_path)

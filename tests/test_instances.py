@@ -102,10 +102,9 @@ class TestExpansion:
         for s in range(30):
             inst = gen_planted(2, d, rho, seed=100 + s)
             i, j = inst.planted()
-            fam = SplitFamily(d, r)
             m = 5000
-            ex = expand_vectors(inst.X[[i]], r, m, family=fam)
-            ey = expand_vectors(inst.Y[[j]], r, m, family=fam)
+            ex = expand_vectors(inst.X[[i]], r, m)
+            ey = expand_vectors(inst.Y[[j]], r, m)
             corr = 1 - 2 * (ex ^ ey).mean()
             vals.append(corr)
         assert abs(np.mean(vals) - rho ** r) < 0.03

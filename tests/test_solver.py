@@ -90,6 +90,22 @@ class TestPlanUniform:
         with pytest.raises(PlanError):
             plan_uniform(256, 0.8, d, d=128)
 
+    @pytest.mark.parametrize("lsh", [False, True])
+    @pytest.mark.parametrize("kw, why", [
+        ({"reps": 0}, "reps = 0 is below 1"),
+        ({"reps": -3}, "reps = -3 is below 1"),
+        ({"detect_sigma": 0.0}, "detect_sigma = 0.0 is not positive"),
+        ({"detect_sigma": float("nan")}, "detect_sigma = nan is not positive")])
+    def test_bad_run_options_refused(self, kw, why, lsh):
+        """Both planners refuse these before any arithmetic."""
+        d = sw_decomposition()
+        with pytest.raises(PlanError, match=f"^{why}$"):
+            if lsh:
+                plan_lsh(64, rho_joint_matrix(0.8), d, t2112_flip_pair(0.8),
+                         d=512, **kw)
+            else:
+                plan_uniform(64, 0.8, d, d=512, **kw)
+
     def test_plan_invariants(self):
         for d in (strassen_decomposition(), t2112()):
             p = plan_uniform(1024, 0.8, d, d=512)
@@ -132,11 +148,11 @@ class TestDetect:
     def test_zero_aggregates_no_flags(self):
         plan = plan_uniform(128, 0.9, strassen_decomposition(), d=256)
         m, dp = plan.m, plan.d_prime
-        st = BucketState(m, np.zeros((1, 1), int), np.zeros((1, 1), int),
+        st = BucketState(np.zeros((1, 1), int), np.zeros((1, 1), int),
                          np.ones(m, int), np.ones(m, int),
                          np.zeros((m, dp), np.float32),
                          np.zeros((m, dp), np.float32),
-                         np.ones(m, np.float32), np.ones(m, np.float32), 0)
+                         np.ones(m, np.float32), np.ones(m, np.float32))
         assert detect(st, plan) == []
 
     def test_null_flag_fraction_chebyshev(self):
@@ -184,8 +200,8 @@ class TestDetect:
         from lumen.instances import SplitFamily, expand_vectors
         i_star, j_star = inst.planted()
         fam = SplitFamily(dim, plan.r)
-        ex = expand_vectors(inst.X[[i_star]], plan.r, fam.size, 0, fam)
-        ey = expand_vectors(inst.Y[[j_star]], plan.r, fam.size, 0, fam)
+        ex = expand_vectors(inst.X[[i_star]], plan.r, fam.size)
+        ey = expand_vectors(inst.Y[[j_star]], plan.r, fam.size)
         rho_hat = float(1.0 - 2.0 * (ex ^ ey).mean())
         reps = 200
         signed = []
@@ -230,9 +246,8 @@ class TestDetect:
         plan_r.detect_sigma = plan.detect_sigma
         st = bucket_uniform(inst, plan, np.random.default_rng(3000))
         # swapped state: exchange the two sides
-        st_sw = BucketState(st.m, st.mem_y, st.mem_x, st.sizes_y, st.sizes_x,
-                            st.agg_y, st.agg_x, st.signs_y, st.signs_x,
-                            st.offset)
+        st_sw = BucketState(st.mem_y, st.mem_x, st.sizes_y, st.sizes_x,
+                            st.agg_y, st.agg_x, st.signs_y, st.signs_x)
         _, score, C, V = detect(st, plan, return_scores=True)
         _, score_r, C_r, V_r = detect(st_sw, plan_r, return_scores=True)
         assert np.allclose(C_r, C.T, rtol=1e-4, atol=1e-3)
@@ -279,7 +294,8 @@ class TestDetector:
         ("sw", True, "sweep")])
     def test_built_once(self, monkeypatch, name, lsh, kind):
         """Planning builds the detector, one executable level per distinct
-        planned level; solving rounds never expand a decomposition again."""
+        planned level; solving rounds never expand a decomposition again.
+        The null instance verifies no pair, so both rounds run."""
         d = {"t2112": t2112, "strassen": strassen_decomposition,
              "sw": sw_decomposition}[name]()
         rho = 0.6 if lsh else 0.8
@@ -296,8 +312,8 @@ class TestDetector:
 
         monkeypatch.setattr(solver, "tensor_of_decomposition", refuse)
         solve = solve_lsh if lsh else solve_uniform
-        inst = gen_planted(64, 256, rho, seed=14)
-        rep = solve(inst, d, plan=plan, seed=0, early_stop=False)
+        inst = gen_planted(64, 256, rho, seed=14, planted=False)
+        rep = solve(inst, d, plan=plan, seed=0)
         assert rep.rounds_run == 2
 
 
@@ -473,6 +489,18 @@ class TestSolveUniform:
 
 
 class TestLsh:
+    @pytest.mark.parametrize("n, d, rho, reps, noted", [
+        (128, 256, 0.6, None, True), (1024, 512, 0.8, 60, False)])
+    def test_estimate_below_target_noted(self, n, d, rho, reps, noted):
+        """The digest's sw plan estimates p ~ 0.0008 per round and carries
+        the note; at n=1024 it estimates p ~ 0.31 and carries none."""
+        plan = plan_lsh(n, rho_joint_matrix(rho), sw_decomposition(),
+                        t2112_flip_pair(rho), d=d, reps=reps)
+        note = (f"per-round success estimate {plan.p_round_est:.3f} is below "
+                f"the planning target; recovery may need more repetitions")
+        assert (plan.p_round_est < 0.01) == noted
+        assert (note in plan.notes) == noted
+
     def test_low_gamma_refused(self):
         # single-coefficient tensor has eff = 1; uniform-Q gamma = 1/4 < 1/2
         c = np.zeros((2, 2, 2, 2, 2, 2))

@@ -9,8 +9,9 @@ checkout, and compare the output:
     diff old.txt new.txt
 
 The grid covers both solvers on planted and null instances; rounds are
-capped at REPS so that null solves stay short.  Each grid plan also scores
-one uniform bucket round and prints the sha256 of its scores C and of its
+capped at REPS so that null solves stay short.  Each grid plan prints its
+headline fields and notes, so a planner change shows.  It also scores one
+uniform bucket round and prints the sha256 of its scores C and of its
 variance map V, so a change that moves any bit of either shows, not only
 one that moves a flag.
 """
@@ -43,6 +44,11 @@ def solves():
         else:
             plan = plan_uniform(n, rho, decomp, d=D)
             solve = solve_uniform
+        yield (f"{tensor} lsh={lsh} n={n} plan: kernel={plan.kernel} "
+               f"N={plan.N} m={plan.m} t={plan.t} copies={plan.copies} "
+               f"r={plan.r} rho_det={plan.rho_det} "
+               f"detect_sigma={plan.detect_sigma} "
+               f"p_round_est={plan.p_round_est} notes={plan.notes}")
         plan = dataclasses.replace(plan, reps=min(plan.reps, REPS))
         inst = gen_planted(n, D, rho, seed=900)
         _, _, C, V = detect(bucket_uniform(inst, plan, 0), plan,
