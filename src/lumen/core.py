@@ -71,9 +71,6 @@ class TensorShape:
         return TensorShape(self.q_i * other.q_i, self.q_j * other.q_j,
                            self.q_k * other.q_k)
 
-    def power(self, n: int) -> "TensorShape":
-        return TensorShape(self.q_i ** n, self.q_j ** n, self.q_k ** n)
-
 
 @dataclass(frozen=True)
 class Tensor:
@@ -322,31 +319,21 @@ def apply_power(levels, A, B, dtype=None,
     Mbs = [m[1] for m in mats]
     MgT = [np.ascontiguousarray(m[2].T) for m in mats]
 
-    if t == 0:
-        wa = _sweep(va, Mas)
-        wb = _sweep(vb, Mbs)
-        c = _sweep(wa * wb, MgT)
-    else:
-        da = int(np.prod([qi[l] * qk[l] for l in range(t)]))
-        db = int(np.prod([qj[l] * qk[l] for l in range(t)]))
-        va2 = va.reshape(da, -1)
-        vb2 = vb.reshape(db, -1)
-        c = None
-        for branch in _iproduct(*[range(r) for r in ranks[:t]]):
-            rowa = Mas[0][branch[0]]
-            rowb = Mbs[0][branch[0]]
-            rowg = mats[0][2][branch[0]]
-            for l in range(1, t):
-                rowa = np.kron(rowa, Mas[l][branch[l]])
-                rowb = np.kron(rowb, Mbs[l][branch[l]])
-                rowg = np.kron(rowg, mats[l][2][branch[l]])
-            wa = _sweep(rowa @ va2, Mas[t:])
-            wb = _sweep(rowb @ vb2, Mbs[t:])
-            cb = _sweep(wa * wb, MgT[t:])
-            contrib = np.outer(rowg, cb)
-            c = contrib if c is None else c + contrib
-        c = c.reshape(-1)
-    return _uninterleave(c, qi, qj)
+    va2 = va.reshape(int(np.prod([qi[l] * qk[l] for l in range(t)])), -1)
+    vb2 = vb.reshape(int(np.prod([qj[l] * qk[l] for l in range(t)])), -1)
+    c = None
+    for branch in _iproduct(*[range(r) for r in ranks[:t]]):
+        rowa = rowb = rowg = np.ones(1, dtype)
+        for l in range(t):
+            rowa = np.kron(rowa, Mas[l][branch[l]])
+            rowb = np.kron(rowb, Mbs[l][branch[l]])
+            rowg = np.kron(rowg, mats[l][2][branch[l]])
+        wa = _sweep(rowa @ va2, Mas[t:])
+        wb = _sweep(rowb @ vb2, Mbs[t:])
+        cb = _sweep(wa * wb, MgT[t:])
+        contrib = np.outer(rowg, cb)
+        c = contrib if c is None else c + contrib
+    return _uninterleave(c.reshape(-1), qi, qj)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,21 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96):
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
+def _write_csv(rows, header, out=None) -> str:
+    """CSV text of rows (floats to 6 places), also written to out if given."""
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=header)
+    w.writeheader()
+    for r in rows:
+        w.writerow({k: (f"{v:.6f}" if isinstance(v, float) else v)
+                    for k, v in r.items()})
+    text = buf.getvalue()
+    if out:
+        with open(out, "w") as f:
+            f.write(text)
+    return text
+
+
 # ---------------------------------------------------------------------------
 # exponent curves
 # ---------------------------------------------------------------------------
@@ -72,18 +87,7 @@ def exponent_rows(rhos):
 
 def cmd_exponents(rhos=None, out=None) -> str:
     rhos = rhos if rhos is not None else np.linspace(0.0, 1.0, 101)
-    rows = exponent_rows(rhos)
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=EXPONENTS_HEADER)
-    w.writeheader()
-    for r in rows:
-        w.writerow({k: (f"{v:.6f}" if isinstance(v, float) else v)
-                    for k, v in r.items()})
-    text = buf.getvalue()
-    if out:
-        with open(out, "w") as f:
-            f.write(text)
-    return text
+    return _write_csv(exponent_rows(rhos), EXPONENTS_HEADER, out)
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +152,7 @@ def cmd_success_curve(tensor: str, n_list, rho_list, seeds: int = 20,
             "mean_rounds": float(np.mean([r["rounds"] for r in rs])),
             "multiply_count": int(np.mean([r["mult"] for r in rs])),
         })
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=SUCCESS_HEADER)
-    w.writeheader()
-    for r in rows:
-        w.writerow({k: (f"{v:.6f}" if isinstance(v, float) else v)
-                    for k, v in r.items()})
-    text = buf.getvalue()
-    if out:
-        with open(out, "w") as f:
-            f.write(text)
-    return rows, text
+    return rows, _write_csv(rows, SUCCESS_HEADER, out)
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,8 @@ class SplitFamily:
 
     def __post_init__(self):
         if self.r < 2 or self.r % 2:
-            raise ValueError("subset size r must be even and >= 2")
+            raise ValueError(f"subset size r must be even and >= 2, "
+                             f"got r = {self.r}")
         if self.d < self.r:
             raise ValueError("dimension too small for the subset size")
 
@@ -222,21 +223,14 @@ def expand_vectors(bits: np.ndarray, r: int, m: int,
     bit form that is the XOR of the member bits, read straight from the
     window's m x r coordinate columns.  The window starts at field `offset`
     (wrapping around the family) so repeated detection rounds can use fresh,
-    pairwise-independent coordinates.  r = 1 is the identity embedding over
-    single coordinates.
+    pairwise-independent coordinates.
     """
-    n, d = bits.shape
-    if r == 1:
-        if m > d:
-            raise ValueError(f"asked for {m} coordinates, have {d}")
-        cols = ((offset + np.arange(m)) % d)[:, None]
-    else:
-        fam = SplitFamily(d, r)
-        if m > fam.size:
-            raise ValueError(f"asked for {m} coordinates, family has {fam.size}")
-        s1, s2 = (np.array(s, dtype=np.intp) for s in fam.half_subsets())
-        idx = fam.window(m, offset)
-        cols = np.hstack([s1[idx // len(s2)], s2[idx % len(s2)]])
+    fam = SplitFamily(bits.shape[1], r)
+    if m > fam.size:
+        raise ValueError(f"asked for {m} coordinates, family has {fam.size}")
+    s1, s2 = (np.array(s, dtype=np.intp) for s in fam.half_subsets())
+    idx = fam.window(m, offset)
+    cols = np.hstack([s1[idx // len(s2)], s2[idx % len(s2)]])
     out = bits[:, cols[:, 0]]
     for c in cols.T[1:]:
         out ^= bits[:, c]

@@ -123,8 +123,6 @@ class Detector:
 class SolverPlan:
     # headline parameters
     N: int                        # Kronecker power of the planning tensor
-    f: float                      # base-level efficacy threshold
-    S_f: np.ndarray               # q x q indicator of the threshold set
     g: float                      # target bucket size n t / m
     t: int                        # copies per input per side
     reps: int
@@ -139,7 +137,7 @@ class SolverPlan:
     P: np.ndarray | None = None
     copies: int = 0               # per-copy count for the hashing path
     # provenance of the closed-form plan quantities
-    exponent: float = 0.0         # log rank / log(f sqrt|S_f|)
+    exponent: float = 0.0         # log rank / log eff (f sqrt|S_f| or q sqrt gamma)
     p_round_est: float = 0.0
     notes: list = field(default_factory=list)
 
@@ -494,7 +492,7 @@ def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int,
 
     detector = _build_detector(base_levels * N)
     return SolverPlan(
-        N=N, f=f, S_f=S_f.astype(np.uint8), g=n * t_copies / detector.m,
+        N=N, g=n * t_copies / detector.m,
         t=t_copies, reps=reps, detect_sigma=float(sigma),
         symmetrized=symmetrized, detector=detector, r=r, rho_det=rho_det,
         exponent=exponent_bound(decomp.rank, f * math.sqrt(S_f.sum())),
@@ -558,19 +556,13 @@ def _bucket_sizes(mem: np.ndarray, m: int) -> np.ndarray:
 
 
 def bucket_uniform(instance: Instance, plan: SolverPlan, seed,
-                   offset: int | None = None,
-                   force_planted=None) -> BucketState:
+                   offset: int | None = None) -> BucketState:
     """Draw t uniform bucket ids per input per side and aggregate the expanded
-    vectors.  force_planted=(i_bucket, j_bucket) pins copy 0 of the planted
-    pair (calibration hook for tests)."""
+    vectors."""
     rng = np.random.default_rng(seed)
     n, m, t = instance.n, plan.m, plan.t
     mem_x = rng.integers(0, m, size=(n, t))
     mem_y = rng.integers(0, m, size=(n, t))
-    if force_planted is not None:
-        i_star, j_star = instance.planted()
-        mem_x[i_star, 0] = force_planted[0]
-        mem_y[j_star, 0] = force_planted[1]
     if offset is None:
         offset = int(rng.integers(SplitFamily(instance.d, plan.r).size))
     return _bucket_state(instance.X, instance.Y, mem_x, mem_y, plan, offset,
@@ -706,12 +698,14 @@ def plan_lsh(n: int, P: np.ndarray, decomp: Decomposition, qp: StochasticPair,
     N solves (q^2 gamma)^N = 20 n (the polynomial analysis slack is dropped at
     this scale); buckets live on q^(2N) digit strings, each copy drawn by
     pushing 2N raw coordinates through Q_x then Q_y (mirrored on the y side).
-    reps and detect_sigma are checked as in plan_uniform.
+    reps and detect_sigma are checked as in plan_uniform; P must be 2 x 2.
     """
     _check_run_options(reps, detect_sigma)
+    P = np.asarray(P, float)
+    if P.shape != (2, 2):
+        raise PlanError(f"the hashing solver needs q = 2; P is {P.shape}")
     t0 = tensor_of_decomposition(decomp)
     q = t0.shape.q_i
-    P = np.asarray(P, float)
     g = gamma(qp, t0, P)
     if g <= 1.0 / q:
         raise PlanError(f"gamma = {g} <= 1/q: hashing cannot beat the trivial bound")
@@ -751,10 +745,9 @@ def plan_lsh(n: int, P: np.ndarray, decomp: Decomposition, qp: StochasticPair,
             break
     p_est, c, sigma, g_target = best
 
-    f, S_f = _threshold_choice(table)
     detector = _build_detector([decomp, reflect_decomposition(decomp)] * N)
     return SolverPlan(
-        N=N, f=f, S_f=S_f.astype(np.uint8), g=float(g_target),
+        N=N, g=float(g_target),
         t=1, reps=reps, detect_sigma=float(sigma),
         symmetrized=True, detector=detector, r=r, rho_det=rho_det,
         lsh=True, qp=qp, P=P, copies=c,
@@ -827,11 +820,9 @@ def solve_lsh(instance: Instance, decomp: Decomposition,
         plan = plan_lsh(instance.n, P, decomp, qp, d=instance.d)
     q = plan.qp.q
     mapping = map_to_pm1(plan.P)
-    rng_map = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                           spawn_key=(9,)))
     # sign-map symbols once; detection expands windows of the mapped bits
-    bits_x = (mapping.apply_x(instance.X, rng_map) < 0).astype(np.uint8)
-    bits_y = (mapping.apply_y(instance.Y, rng_map) < 0).astype(np.uint8)
+    bits_x = (mapping.apply_x(instance.X) < 0).astype(np.uint8)
+    bits_y = (mapping.apply_y(instance.Y) < 0).astype(np.uint8)
 
     L = 2 * plan.N
     Q_x, Q_y = plan.qp.Q_x, plan.qp.Q_y

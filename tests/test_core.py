@@ -287,13 +287,6 @@ class TestBlend:
         e2 = eff_table(matmul_tensor(2, 2)).total
         assert abs(eb - e1 * e2) < 1e-9
 
-    def test_strassen_squared_via_blend(self):
-        b = kron_decomposition(strassen_decomposition(),
-                               strassen_decomposition())
-        assert b.rank == 49
-        assert np.array_equal(tensor_of_decomposition(b).coeff,
-                              matmul_tensor(4, 4).coeff)
-
 
 class TestTextFormat:
     def test_round_trip(self):

@@ -88,13 +88,11 @@ class TestExpansion:
         signs = 1 - 2 * out.astype(int)
         assert signs.tolist() == [[-1, 1, -1, 1]]
 
-    def test_r1_identity_embedding(self):
-        rng = np.random.default_rng(7)
-        bits = rng.integers(0, 2, size=(3, 10), dtype=np.uint8)
-        out = expand_vectors(bits, 1, 10)
-        assert np.array_equal(out, bits)
-        shifted = expand_vectors(bits, 1, 4, offset=3)
-        assert np.array_equal(shifted, bits[:, 3:7])
+    def test_odd_subset_size_refused(self):
+        """Split families need an even r >= 2; r = 1 is refused by name."""
+        bits = np.zeros((3, 10), dtype=np.uint8)
+        with pytest.raises(ValueError, match="got r = 1$"):
+            expand_vectors(bits, 1, 4)
 
     def test_rho_power_law(self):
         rho, r, d = 0.6, 2, 2000
@@ -116,21 +114,18 @@ class TestExpansion:
         part = expand_vectors(bits, 2, 13, offset=11)
         assert np.array_equal(full[:, :13], part)
 
-    @pytest.mark.parametrize("d, r", [(9, 1), (8, 2), (11, 2), (12, 4),
+    @pytest.mark.parametrize("d, r", [(8, 2), (11, 2), (12, 4),
                                       (13, 4), (12, 6), (14, 6)])
     def test_matches_brute_force_subset_xor(self, d, r):
         """Each window entry is the XOR of the bits over its split-family
         subset, with windows that wrap past the end and cover the family."""
         rng = np.random.default_rng(9)
         bits = rng.integers(0, 2, size=(5, d), dtype=np.uint8)
-        if r == 1:
-            subsets = [(c,) for c in range(d)]
-        else:
-            h, d1 = r // 2, d // 2
-            subsets = [s1 + s2 for s1 in combinations(range(d1), h)
-                       for s2 in combinations(range(d1, d), h)]
+        h, d1 = r // 2, d // 2
+        subsets = [s1 + s2 for s1 in combinations(range(d1), h)
+                   for s2 in combinations(range(d1, d), h)]
         size = len(subsets)
-        step = 1 if r == 1 else SplitFamily(d, r).stride
+        step = SplitFamily(d, r).stride
         for m, offset in ((size, 0), (size, size - 1),
                           (size // 2 + 1, 3 * size - 2), (1, size + 5)):
             out = expand_vectors(bits, r, m, offset)

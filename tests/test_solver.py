@@ -12,19 +12,39 @@ from lumen.core import (MultiplyCounter, Rank1Term, Decomposition, Tensor,
                         reflect_decomposition, tensor_of_decomposition)
 from lumen.efficacy import (eff_table, exponent_bound, rho_joint_matrix,
                             t2112_flip_pair, t2112_optimal_a, uniform_pair)
-from lumen.instances import gen_planted, pack_bits
+from lumen.instances import SplitFamily, gen_planted, pack_bits
 from lumen.solver import (BucketState, PlanError, bucket_uniform, detect,
                           lemma_checks, plan_lsh, plan_uniform, skew_metrics,
                           solve_lsh, solve_uniform, verify_candidates,
                           verify_threshold,
-                          _apply_subset_diag, _build_detector,
-                          _dedupe_rows, _pair_weight_matrix, _variance_map)
+                          _apply_subset_diag, _bucket_state, _build_detector,
+                          _dedupe_rows, _pair_weight_matrix, _threshold_choice,
+                          _variance_map)
 from lumen.zoo import (matmul_tensor, strassen_decomposition,
                        sw_decomposition, t2112_decomposition)
 
 
 def t2112():
     return t2112_decomposition(0.025, warn=False)
+
+
+def threshold_set(decomp):
+    """The base-level efficacy threshold pair (f, S_f) of decomp."""
+    return _threshold_choice(eff_table(tensor_of_decomposition(decomp))
+                             .per_entry)
+
+
+def pinned_state(inst, plan, seed, pin, offset=None):
+    """bucket_uniform's round with copy 0 of the planted pair pinned to the
+    buckets pin: the same draws in the same order, then _bucket_state."""
+    rng = np.random.default_rng(seed)
+    mem_x = rng.integers(0, plan.m, size=(inst.n, plan.t))
+    mem_y = rng.integers(0, plan.m, size=(inst.n, plan.t))
+    i_star, j_star = inst.planted()
+    mem_x[i_star, 0], mem_y[j_star, 0] = pin
+    if offset is None:
+        offset = int(rng.integers(SplitFamily(inst.d, plan.r).size))
+    return _bucket_state(inst.X, inst.Y, mem_x, mem_y, plan, offset, rng)
 
 
 class TestSkewMetrics:
@@ -47,13 +67,14 @@ class TestSkewMetrics:
 class TestPlanUniform:
     def test_t2112_threshold_tie_rule(self):
         p = plan_uniform(1024, 0.8, t2112(), d=512)
-        assert abs(p.f - math.sqrt(2)) < 1e-2
-        assert p.S_f.sum() == 2 and p.S_f[0, 0] and p.S_f[1, 1]
+        f, S_f = threshold_set(t2112())
+        assert abs(f - math.sqrt(2)) < 1e-2
+        assert S_f.sum() == 2 and S_f[0, 0] and S_f[1, 1]
         assert not p.symmetrized
 
     def test_matmul_plan_exponent_consistency(self):
         p = plan_uniform(1024, 0.8, strassen_decomposition(), d=512)
-        assert p.S_f.sum() == 4
+        assert threshold_set(strassen_decomposition())[1].sum() == 4
         want = exponent_bound(7, math.sqrt(2) * 2)
         assert abs(p.exponent - want) < 1e-9
         assert abs(p.exponent - exponent_bound(7, math.sqrt(8))) < 1e-9
@@ -111,8 +132,9 @@ class TestPlanUniform:
             p = plan_uniform(1024, 0.8, d, d=512)
             # m g within a factor two of n t
             assert 0.5 <= p.m * p.g / (1024 * p.t) <= 2.0
-            Vx, Vy, _ = skew_metrics(p.S_f.astype(bool))
-            assert Vx <= p.S_f.sum() ** 1.5 + 1e-9
+            S_f = threshold_set(d)[1]
+            Vx, Vy, _ = skew_metrics(S_f)
+            assert Vx <= S_f.sum() ** 1.5 + 1e-9
             assert p.reps == 25
 
 
@@ -132,8 +154,7 @@ class TestBucketUniform:
     def test_forced_planting(self):
         inst = gen_planted(128, 256, 0.9, seed=3)
         plan = plan_uniform(128, 0.9, strassen_decomposition(), d=256)
-        st = bucket_uniform(inst, plan, np.random.default_rng(1),
-                            force_planted=(5, 9))
+        st = pinned_state(inst, plan, np.random.default_rng(1), (5, 9))
         i, j = inst.planted()
         assert 5 in st.mem_x[i] and 9 in st.mem_y[j]
 
@@ -180,9 +201,8 @@ class TestDetect:
         hits = 0
         reps = 20
         for k in range(reps):
-            st = bucket_uniform(inst, plan, np.random.default_rng(100 + k),
-                                offset=k * plan.d_prime,
-                                force_planted=(3, 3))
+            st = pinned_state(inst, plan, np.random.default_rng(100 + k),
+                              (3, 3), offset=k * plan.d_prime)
             flags = detect(st, plan)
             hits += any(i == 3 and j == 3 for i, j, _ in flags)
         assert hits / reps >= 0.24
@@ -197,7 +217,7 @@ class TestDetect:
         plan = plan_uniform(n, rho, strassen_decomposition(), d=dim)
         # realized expanded correlation of this instance's planted pair over
         # the whole family (the per-window mean averages to this)
-        from lumen.instances import SplitFamily, expand_vectors
+        from lumen.instances import expand_vectors
         i_star, j_star = inst.planted()
         fam = SplitFamily(dim, plan.r)
         ex = expand_vectors(inst.X[[i_star]], plan.r, fam.size)
@@ -207,9 +227,8 @@ class TestDetect:
         signed = []
         sig = None
         for k in range(reps):
-            st = bucket_uniform(inst, plan, np.random.default_rng(1000 + k),
-                                offset=(k * plan.d_prime) % fam.size,
-                                force_planted=(7, 7))
+            st = pinned_state(inst, plan, np.random.default_rng(1000 + k),
+                              (7, 7), offset=(k * plan.d_prime) % fam.size)
             flags, score, C, V = detect(st, plan, return_scores=True)
             signed.append(C[7, 7] * st.signs_x[7] * st.signs_y[7])
             sig = math.sqrt(V[7, 7])
@@ -511,6 +530,20 @@ class TestLsh:
         d = Decomposition(TensorShape(2, 2, 2), (Rank1Term(a, b, g),))
         with pytest.raises(PlanError):
             plan_lsh(256, rho_joint_matrix(0.5), d, uniform_pair(2), d=256)
+
+    def test_non_binary_alphabet_refused(self):
+        """A q=3 joint law would need a randomly lifted sign mapping, which
+        solve_lsh does not draw; the planner refuses it."""
+        terms = []
+        for i, j, k in np.ndindex(3, 3, 3):
+            a = np.zeros((3, 3)); a[i, k] = 1
+            b = np.zeros((3, 3)); b[j, k] = 1
+            g = np.zeros((3, 3)); g[i, j] = 1
+            terms.append(Rank1Term(a, b, g))
+        d = Decomposition(TensorShape(3, 3, 3), tuple(terms))
+        P = (np.full((3, 3), 0.15) + np.eye(3) * 0.55) / 3   # sums to 1
+        with pytest.raises(PlanError, match=r"needs q = 2; P is \(3, 3\)"):
+            plan_lsh(256, P, d, uniform_pair(3), d=512)
 
     def test_smaller_power_than_uniform_and_recovers(self):
         rho = 0.6
