@@ -246,39 +246,28 @@ class PmMapping:
     g: np.ndarray            # x-side symbol -> {-1, +1}
     h: np.ndarray            # y-side symbol -> {-1, +1}
     rho_out: float
-    lifted: bool             # odd q lifted to 2q with a uniform bit
 
-    def apply_x(self, symbols: np.ndarray, rng=None) -> np.ndarray:
-        s = self._lift(symbols, rng)
-        return self.g[s]
+    def apply_x(self, symbols: np.ndarray) -> np.ndarray:
+        return self.g[symbols]
 
-    def apply_y(self, symbols: np.ndarray, rng=None) -> np.ndarray:
-        s = self._lift(symbols, rng)
-        return self.h[s]
-
-    def _lift(self, symbols, rng):
-        if not self.lifted:
-            return symbols
-        if rng is None:
-            raise ValueError("lifted mapping needs an rng for the extra bit")
-        extra = rng.integers(0, 2, size=symbols.shape)
-        return symbols * 2 + extra
+    def apply_y(self, symbols: np.ndarray) -> np.ndarray:
+        return self.h[symbols]
 
 
 def map_to_pm1(P: np.ndarray) -> PmMapping:
     """Greedy balanced sign mappings with E[g(x) h(y)] > 0 under P and zero
     correlation whenever either side is uniform.
 
-    Odd alphabets are first lifted to 2q symbols by appending a uniform bit.
+    The alphabet size q must be even, so that each side splits into two
+    halves; an odd q raises ValueError.
     """
     P = np.asarray(P, float)
     q = P.shape[0]
+    if q % 2:
+        raise ValueError(f"q = {q} is odd: a balanced sign mapping needs an "
+                         "even alphabet")
     if np.allclose(P, 1.0 / (q * q)):
         raise ValueError("uniform P admits no correlated sign mapping")
-    lifted = bool(q % 2)
-    if lifted:
-        P = np.kron(P, np.full((2, 2), 0.25))
-        q *= 2
     # pick the least uniform row; h signs its top half, g follows P h
     spread = np.abs(P - P.mean(axis=1, keepdims=True)).sum(axis=1)
     row = int(np.argmax(spread))
@@ -290,7 +279,7 @@ def map_to_pm1(P: np.ndarray) -> PmMapping:
     rho_out = float(g @ v)
     if rho_out <= 0:
         raise ValueError("constructed mapping has nonpositive correlation")
-    return PmMapping(g, h, rho_out, lifted)
+    return PmMapping(g, h, rho_out)
 
 
 def check_vn(x: np.ndarray, y: np.ndarray, P: np.ndarray, N: int) -> bool:

@@ -18,13 +18,18 @@ would destroy double precision at the planned power are replaced by the
 unit-term decomposition of their expanded tensor (dropping coefficients whose
 total variance share is negligible, checked and recorded on the plan).  The
 Detector also holds the forced digits of the subset_diag kernel and the
-per-level transfer matrices of the variance map, so rounds rebuild neither.
+per-level transfer matrices of the variance map, and builds the kernel's
+per-mask einsum table on its first apply, so rounds rebuild none of them.
+The subset_diag kernel runs each off-digit mask as one einsum over strided
+views of K-major operands whose row digits are rotated so that the mask's
+longest run of free digits is contiguous; no mask copies an operand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,13 +80,13 @@ class PlanError(Exception):
 class Detector:
     """How a plan's detection step runs; built once by _build_detector.
 
-    kind is 'matmul' (one BLAS product), 'subset_diag' (strided copies plus
-    row dots per off-digit pattern) or 'sweep' (the rank recursion).  levels
-    are the executable per-level decompositions, forced the L x 2 array of k
-    digits that the (0,1) and (1,0) off cells force (subset_diag only, else
-    None), weights the transposed per-level pair-weight matrices of the
-    variance sweep, and dropped_var the largest variance share a surrogate
-    level dropped.
+    kind is 'matmul' (one BLAS product), 'subset_diag' (one einsum per
+    off-digit pattern over strided views of row-rotated K-major operands)
+    or 'sweep' (the rank recursion).  levels are the executable per-level
+    decompositions, forced the L x 2 array of k digits that the (0,1) and
+    (1,0) off cells force (subset_diag only, else None), weights the
+    transposed per-level pair-weight matrices of the variance sweep, and
+    dropped_var the largest variance share a surrogate level dropped.
     """
     kind: str
     levels: tuple
@@ -99,6 +104,12 @@ class Detector:
         """Detection coordinates per round."""
         return math.prod(d.shape.q_k for d in self.levels)
 
+    @cached_property
+    def masks(self) -> tuple:
+        """The subset_diag kernel's per-mask einsum table, built on the
+        first apply rather than while planning."""
+        return _subset_diag_masks(self.forced)
+
     def apply(self, A, B, counter: MultiplyCounter | None = None):
         """Scores C of the sign-flipped m x d' aggregates A and B."""
         if self.kind == "matmul":
@@ -106,7 +117,7 @@ class Detector:
                 counter.add(A.shape[0] * A.shape[1] * B.shape[0])
             return A @ B.T
         if self.kind == "subset_diag":
-            return _apply_subset_diag(self.forced, A, B, counter=counter)
+            return _apply_subset_diag(self.masks, A, B, counter=counter)
         return apply_power(self.levels, A.astype(np.float32),
                            B.astype(np.float32), dtype=np.float32,
                            counter=counter)
@@ -317,45 +328,133 @@ def _build_detector(levels) -> Detector:
     return Detector(kind, exec_levels, forced, weights, max(shares))
 
 
-def _digit_view(M: np.ndarray, row: int, col: int, steps) -> np.ndarray:
-    """View of M from cell (row, col) with one size-2 axis per (row, column)
-    step in steps; steps may be negative but stay inside M."""
-    rs, cs = M.strides
-    return np.lib.stride_tricks.as_strided(
-        M[row:, col:], (2,) * len(steps), [r * rs + c * cs for r, c in steps])
+def _free_run_end(off) -> int:
+    """The digit r that ends, going down through r - 1, r - 2, ... (mod L),
+    the longest run of free (0) digits in off; L - 1 when none is free."""
+    L = len(off)
+    best, end, run = 0, L - 1, 0
+    for l in range(2 * L):       # a second lap sees the runs that wrap
+        run = 0 if off[l % L] else min(run + 1, L)
+        if run > best:
+            best, end = run, l % L
+    return end
 
 
-def _apply_subset_diag(forced, A, B, counter: MultiplyCounter | None = None):
-    """Exact application of unit-coefficient diag-free/off-forced tensors.
+def _merge_axes(axes, ops: int):
+    """Shape and per-operand strides of a row of size-2 axes, each given as
+    a tuple of ops strides, with adjacent axes merged wherever every
+    operand's outer stride is twice its inner one."""
+    shape, strides = [], []
+    for st in axes:
+        if shape and all(o == 2 * i for o, i in zip(strides[-1], st)):
+            shape[-1] *= 2
+            strides[-1] = st
+        else:
+            shape.append(2)
+            strides.append(st)
+    return tuple(shape), [tuple(st[j] for st in strides) for j in range(ops)]
+
+
+_SUBSCRIPTS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def _subset_diag_masks(forced) -> tuple:
+    """The einsum of every off-digit mask of the subset_diag kernel.
 
     forced is the L x 2 array of k digits forced by the (0,1) and (1,0) off
-    cells of each level.  Every output pair (I, J) determines its off digits
-    (where I and J disagree) and with them the forced k digits; the remaining
-    digits contribute a plain inner product.  Grouping cells by the off-digit
-    positions turns the whole C into row-wise dot products of (chi, s, s')
-    blocks, copied from strided views of A and B with one axis per digit;
-    the multiply count is exactly prod(rank_l) as in the rank recursion.
+    cells of each level.  The kernel reads K-major operands At[k, I'] whose
+    rows are rotated: in rotation r, row digit l has weight 2^((r - l) mod L),
+    so digit r is least significant.  Each mask runs in the rotation whose
+    lowest digits are its longest run of free digits, so the einsum's inner
+    loop walks that run contiguously.  Returns (r, entries) pairs, r
+    descending; an entry is (subscripts, shape, A offset, A strides,
+    B offset, B strides, out shape, C shape, C offset, C strides), offsets
+    and strides in bytes of float32, C[I, J] in the unrotated order.
     """
-    L = len(forced)
-    w = 1 << (L - 1 - np.arange(L))
-    A = np.ascontiguousarray(A, dtype=np.float32)
-    B = np.ascontiguousarray(B, dtype=np.float32)
-    C = np.zeros((A.shape[0], B.shape[0]), dtype=np.float32)
+    forced = np.asarray(forced).tolist()
+    L, size = len(forced), np.dtype(np.float32).itemsize
+    m = 1 << L
+    w = [1 << (L - 1 - l) for l in range(L)]
+
+    def nbytes(strides):
+        return tuple(size * x for x in strides)
+
+    groups: dict = {}
     for mask in range(1 << L):
-        bits = (mask >> (L - 1 - np.arange(L))) & 1 == 1
-        # off digit chi reads A[chi, f] and B[1 - chi, f], f = forced[l, chi],
-        # into C[chi, 1 - chi]; free digits range over x = y and over k
-        wo, wf = w[bits].tolist(), w[~bits].tolist()
-        dk = ((forced[bits, 1] - forced[bits, 0]) * w[bits]).tolist()
-        k0, y0 = int(forced[bits, 0] @ w[bits]), sum(wo)
-        free = [(v, 0) for v in wf] + [(0, v) for v in wf]
-        Ag = _digit_view(A, 0, k0, list(zip(wo, dk)) + free)
-        Bg = _digit_view(B, y0, k0, [(-v, d) for v, d in zip(wo, dk)] + free)
-        shape = (1 << len(wo), 1 << len(wf), 1 << len(wf))
-        D = np.einsum("csk,csk->cs", np.ascontiguousarray(Ag).reshape(shape),
-                      np.ascontiguousarray(Bg).reshape(shape))
-        Cv = _digit_view(C, 0, y0, [(v, -v) for v in wo] + [(v, v) for v in wf])
-        Cv[...] = D.reshape(Cv.shape)
+        off = [mask >> (L - 1 - l) & 1 for l in range(L)]
+        r = _free_run_end(off)
+        rw = [1 << ((r - l) % L) for l in range(L)]
+        offs = [l for l in range(L) if off[l]]
+        free = [l for l in range(L) if not off[l]]
+        rows = sorted(free, key=lambda l: -rw[l])
+        # At[k, I'] sits at k m + I'.  Off digit chi reads A[chi, f] and
+        # B[1 - chi, f], f = forced[l][chi], into C[chi, 1 - chi]; free
+        # digits range over I = J (kept) and over k (summed)
+        k_step = [(forced[l][1] - forced[l][0]) * w[l] * m for l in offs]
+        k0 = sum(forced[l][0] * w[l] for l in offs) * m
+        c, (cA, cB) = _merge_axes([(rw[l] + d, d - rw[l])
+                                   for l, d in zip(offs, k_step)], 2)
+        k, (kA,) = _merge_axes([(w[l] * m,) for l in free], 1)
+        s, (sA,) = _merge_axes([(rw[l],) for l in rows], 1)
+        cells, (cC,) = _merge_axes([(w[l] * (m - 1),) for l in offs]
+                                   + [(w[l] * (m + 1),) for l in rows], 1)
+        ci = _SUBSCRIPTS[:len(c)]
+        ki = _SUBSCRIPTS[len(c):len(c + k)]
+        si = _SUBSCRIPTS[len(c + k):len(c + k + s)]
+        groups.setdefault(r, []).append((
+            f"{ci}{ki}{si},{ci}{ki}{si}->{ci}{si}", c + k + s,
+            size * k0, nbytes(cA + kA + sA),
+            size * (k0 + sum(rw[l] for l in offs)), nbytes(cB + kA + sA),
+            c + s, cells, size * sum(w[l] for l in offs), nbytes(cC)))
+    return tuple(sorted(groups.items(), reverse=True))
+
+
+def _rotate_rows(M: np.ndarray, digits: int, tmp: np.ndarray):
+    """Move the lowest digits of M's column index to its top, in place, a
+    block of len(tmp) rows at a time."""
+    lo = 1 << digits
+    hi = M.shape[1] // lo
+    for i in range(0, len(M), len(tmp)):
+        block = M[i:i + len(tmp)]
+        np.copyto(tmp.reshape(-1, lo, hi),
+                  block.reshape(-1, hi, lo).transpose(0, 2, 1))
+        block[...] = tmp
+
+
+def _apply_subset_diag(masks, A, B, counter: MultiplyCounter | None = None):
+    """Exact application of unit-coefficient diag-free/off-forced tensors.
+
+    masks is the Detector's _subset_diag_masks table.  Every output pair
+    (I, J) determines its off digits (where I and J disagree) and with them
+    the forced k digits; the remaining digits contribute a plain inner
+    product.  So each off-digit mask is one einsum over strided views of the
+    K-major operands, summing the free k digits and keeping the free row
+    digits.  A and B are transposed once and their rows rotated in place
+    from one rotation to the next; no mask copies an operand.  The multiply
+    count is exactly prod(rank_l), as in the rank recursion.
+    """
+    m = A.shape[0]
+    L = m.bit_length() - 1
+    # one allocation, returned whole when freed: two left heap holes that
+    # the variance map then allocated around, raising peak RSS
+    At, Bt = np.empty((2, m, m), dtype=np.float32)
+    tmp = np.empty((min(m, 128), m), dtype=np.float32)
+    for i in range(0, m, len(tmp)):     # a block at a time stays in cache
+        At[:, i:i + len(tmp)] = A[i:i + len(tmp)].T
+        Bt[:, i:i + len(tmp)] = B[i:i + len(tmp)].T
+    C = np.empty((m, m), dtype=np.float32)    # each cell is in one mask
+    out = np.empty(m, dtype=np.float32)
+    rotation = L - 1
+    for r, entries in masks:
+        if r != rotation:
+            _rotate_rows(At, rotation - r, tmp)
+            _rotate_rows(Bt, rotation - r, tmp)
+            rotation = r
+        for sub, shape, oa, sa, ob, sb, dshape, cshape, oc, sc in entries:
+            D = out[:math.prod(dshape)].reshape(dshape)
+            np.einsum(sub, np.ndarray(shape, np.float32, At, oa, sa),
+                      np.ndarray(shape, np.float32, Bt, ob, sb), out=D)
+            np.ndarray(cshape, np.float32, C, oc, sc)[...] = D.reshape(cshape)
     if counter is not None:
         counter.add(6 ** L)      # 2 x 2 diagonal and 2 off products a level
     return C

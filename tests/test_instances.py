@@ -182,15 +182,12 @@ class TestMapToPm1:
         prod = m.apply_x(flat // 2) * m.apply_y(flat % 2)
         assert abs(prod.mean() - m.rho_out) < 3.0 / math.sqrt(n)
 
-    def test_odd_q_lifts(self):
+    def test_odd_q_refused(self):
         P = np.full((3, 3), 1 / 12)
         np.fill_diagonal(P, 1 / 12 + 1 / 18)
         P /= P.sum()
-        m = map_to_pm1(P)
-        assert m.lifted and m.rho_out > 0
-        rng = np.random.default_rng(10)
-        vals = m.apply_x(rng.integers(0, 3, 100), rng)
-        assert set(np.unique(vals)) <= {1.0, -1.0}
+        with pytest.raises(ValueError, match="q = 3 is odd"):
+            map_to_pm1(P)
 
     def test_uniform_rejected(self):
         with pytest.raises(ValueError):

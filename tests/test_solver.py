@@ -284,7 +284,7 @@ def _check_subset_diag(levels, seed):
     A = rng.standard_normal((2 ** L, 2 ** L)).astype(np.float32)
     B = rng.standard_normal((2 ** L, 2 ** L)).astype(np.float32)
     counter = MultiplyCounter()
-    C = _apply_subset_diag(det.forced, A, B, counter=counter)
+    C = _apply_subset_diag(det.masks, A, B, counter=counter)
     ref = apply_power(det.levels, A, B, dtype=np.float64)
     assert np.abs(C - ref).max() <= 1e-4 * np.abs(ref).max()
     assert counter.count == math.prod(d.rank for d in det.levels)
@@ -305,6 +305,24 @@ class TestSubsetDiagKernel:
         """The levels the t2112 hashing plan runs: T and its reflection."""
         t = t2112()
         _check_subset_diag([t, reflect_decomposition(t)] * k, 10 + k)
+
+    @pytest.mark.parametrize("reflect, n", [
+        *((False, L) for L in range(2, 9)), *((True, k) for k in range(1, 5))])
+    def test_integer_operands_exact(self, reflect, n):
+        """Bucket sums are small integers, so every float32 partial sum is
+        exact: the kernel must equal the float64 rank recursion bit for
+        bit, whatever order it sums in.  Levels are T^n, or [T, reflect(T)]
+        repeated n times as the hashing plan runs them."""
+        t = t2112()
+        det = _build_detector([t, reflect_decomposition(t)] * n if reflect
+                              else [t] * n)
+        m = det.m
+        rng = np.random.default_rng(m + n)
+        A = rng.integers(-4, 5, (m, m)).astype(np.float32)
+        B = rng.integers(-4, 5, (m, m)).astype(np.float32)
+        C = _apply_subset_diag(det.masks, A, B)
+        assert np.array_equal(C, apply_power(det.levels, A, B,
+                                             dtype=np.float64))
 
 
 class TestDetector:
@@ -334,6 +352,28 @@ class TestDetector:
         inst = gen_planted(64, 256, rho, seed=14, planted=False)
         rep = solve(inst, d, plan=plan, seed=0)
         assert rep.rounds_run == 2
+
+    def test_mask_table_built_once(self, monkeypatch):
+        """Planning builds no mask table; the first round builds the plan's
+        table and later rounds reuse it; another plan builds its own."""
+        built = []
+        make = solver._subset_diag_masks
+
+        def counted(forced):
+            built.append(len(forced))
+            return make(forced)
+
+        monkeypatch.setattr(solver, "_subset_diag_masks", counted)
+        plan = plan_uniform(64, 0.8, t2112(), d=256, reps=2)
+        assert plan.kernel == "subset_diag" and built == []
+        inst = gen_planted(64, 256, 0.8, seed=14, planted=False)
+        rep = solve_uniform(inst, t2112(), plan=plan, seed=0)
+        assert rep.rounds_run == 2 and built == [len(plan.levels)]
+        solve_uniform(inst, t2112(), plan=plan, seed=1)
+        assert built == [len(plan.levels)]
+        other = plan_uniform(64, 0.8, t2112(), d=256, reps=1)
+        solve_uniform(inst, t2112(), plan=other, seed=0)
+        assert built == [len(plan.levels), len(other.levels)]
 
 
 class TestExpansionPath:
@@ -532,8 +572,8 @@ class TestLsh:
             plan_lsh(256, rho_joint_matrix(0.5), d, uniform_pair(2), d=256)
 
     def test_non_binary_alphabet_refused(self):
-        """A q=3 joint law would need a randomly lifted sign mapping, which
-        solve_lsh does not draw; the planner refuses it."""
+        """A q=3 joint law has no balanced sign mapping; the planner
+        refuses it."""
         terms = []
         for i, j, k in np.ndindex(3, 3, 3):
             a = np.zeros((3, 3)); a[i, k] = 1

@@ -10,10 +10,10 @@ checkout, and compare the output:
 
 The grid covers both solvers on planted and null instances; rounds are
 capped at REPS so that null solves stay short.  Each grid plan prints its
-headline fields and notes, so a planner change shows.  It also scores one
-uniform bucket round and prints the sha256 of its scores C and of its
-variance map V, so a change that moves any bit of either shows, not only
-one that moves a flag.
+headline fields, its verification threshold and its notes, so a planner or
+verification change shows.  It also scores one uniform bucket round and
+prints the sha256 of its scores C and of its variance map V, so a change
+that moves any bit of either shows, not only one that moves a flag.
 """
 
 import dataclasses
@@ -24,7 +24,7 @@ from lumen.core import MultiplyCounter
 from lumen.efficacy import rho_joint_matrix, t2112_flip_pair
 from lumen.instances import gen_planted
 from lumen.solver import (bucket_uniform, detect, plan_lsh, plan_uniform,
-                          solve_lsh, solve_uniform)
+                          solve_lsh, solve_uniform, verify_threshold)
 
 REPS = 6
 D = 256
@@ -48,7 +48,9 @@ def solves():
                f"N={plan.N} m={plan.m} t={plan.t} copies={plan.copies} "
                f"r={plan.r} rho_det={plan.rho_det} "
                f"detect_sigma={plan.detect_sigma} "
-               f"p_round_est={plan.p_round_est} notes={plan.notes}")
+               f"p_round_est={plan.p_round_est} "
+               f"verify_threshold={verify_threshold(D, plan.reps)} "
+               f"notes={plan.notes}")
         plan = dataclasses.replace(plan, reps=min(plan.reps, REPS))
         inst = gen_planted(n, D, rho, seed=900)
         _, _, C, V = detect(bucket_uniform(inst, plan, 0), plan,
