@@ -11,19 +11,31 @@ import numpy as np
 
 from . import zoo
 from .core import decomposition_to_text, tensor_of_decomposition, MultiplyCounter
-from .efficacy import (design_q_matrices, eff_table, exponent_bound,
-                       optimize_gamma, omega_rho_t2112, rho_joint_matrix,
-                       t2112_flip_pair)
+from .efficacy import (DesignerError, design_q_matrices, eff_table,
+                       exponent_bound, optimize_gamma, omega_rho_t2112,
+                       rho_joint_matrix, t2112_flip_pair)
 from .harness import cmd_exponents, cmd_success_curve, cmd_verify
 from .instances import gen_planted, read_instance, write_instance
-from .solver import (PlanError, lemma_checks, plan_lsh, plan_uniform,
-                     solve_lsh, solve_uniform, verify_threshold)
+from .solver import (PlanError, _check_run_options, lemma_checks, plan_lsh,
+                     plan_uniform, solve_lsh, solve_uniform, verify_threshold)
 from .aggregation import bench_aggregation
 
 
+class _BadArgument(Exception):
+    """An argument the command cannot run with: one line on stderr, exit 2."""
+
+
+def _from_args(make, *args):
+    """make(*args) for what the arguments construct, so that their errors
+    end as one line while faults in the computation keep their traceback."""
+    try:
+        return make(*args)
+    except (KeyError, ValueError, PlanError, DesignerError) as e:
+        raise _BadArgument(e.args[0]) from e
+
+
 def _tensor_args(p):
-    p.add_argument("--tensor", default="t2112",
-                   choices=["strassen", "sw", "t2112"])
+    p.add_argument("--tensor", default="t2112", choices=list(zoo.ZOO))
     p.add_argument("--eps", type=float, default=zoo.DEFAULT_EPS)
 
 
@@ -80,7 +92,7 @@ def main(argv=None) -> int:
     p.add_argument("--decomp-file", default=None,
                    help="verify a user decomposition (text format) instead")
     p.add_argument("--against", default=None,
-                   choices=["strassen", "sw", "t2112"],
+                   choices=list(zoo.ZOO),
                    help="zoo target the user decomposition must expand to")
     p.add_argument("--eps", type=float, default=zoo.DEFAULT_EPS)
 
@@ -108,11 +120,19 @@ def main(argv=None) -> int:
     p.add_argument("--out", default=None)
 
     args = ap.parse_args(argv)
+    try:
+        return _run(args)
+    except _BadArgument as e:
+        print(f"lumen {args.cmd}: {e}", file=sys.stderr)
+        return 2
 
+
+def _run(args) -> int:
     if args.cmd == "zoo":
         if args.action == "list":
+            entries = _from_args(zoo.zoo_entries, args.eps)
             print(f"{'name':10s} {'shape':10s} {'rank':>4s} {'eff':>10s} {'exponent':>9s}")
-            for e in zoo.zoo_entries(args.eps):
+            for e in entries:
                 s = e.decomposition.shape
                 expo = exponent_bound(e.declared_rank, e.declared_eff)
                 print(f"{e.name:10s} <{s.q_i},{s.q_j},{s.q_k}>    "
@@ -121,12 +141,12 @@ def main(argv=None) -> int:
             if not args.name:
                 print("dump needs a tensor name", file=sys.stderr)
                 return 2
-            print(decomposition_to_text(zoo.zoo_decomposition(args.name, args.eps)),
-                  end="")
+            d = _from_args(zoo.zoo_decomposition, args.name, args.eps)
+            print(decomposition_to_text(d), end="")
         return 0
 
     if args.cmd == "eff":
-        t = zoo.zoo_target(args.tensor, args.eps)
+        t = _from_args(zoo.zoo_target, args.tensor, args.eps)
         table = eff_table(t)
         for row in table.per_entry:
             print("  ".join(f"{v:.6f}" for v in row))
@@ -134,7 +154,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.cmd == "exponent":
-        d = zoo.zoo_decomposition(args.tensor, args.eps)
+        d = _from_args(zoo.zoo_decomposition, args.tensor, args.eps)
         t = zoo.zoo_target(args.tensor, args.eps)
         e = eff_table(t).total
         expo = exponent_bound(d.rank, e)
@@ -142,20 +162,22 @@ def main(argv=None) -> int:
             from .efficacy import gamma as gamma_fn, uniform_pair
             rho = args.rho if args.rho is not None else 0.0
             if rho > 0 and args.tensor == "t2112":
+                expo_out = _from_args(omega_rho_t2112, rho)
                 g = gamma_fn(t2112_flip_pair(rho), zoo.t2112_limit_tensor(),
                              rho_joint_matrix(rho))
-                expo_out = omega_rho_t2112(rho)
             else:
                 g = gamma_fn(uniform_pair(t.shape.q_i), t,
-                             rho_joint_matrix(max(rho, 0.0)))
+                             _from_args(rho_joint_matrix, max(rho, 0.0)))
                 expo_out = expo
             print("tensor,epsilon,rho,eff,gamma,exponent")
             print(f"{args.tensor},{args.eps},{rho},{e:.6f},{g:.6f},{expo_out:.6f}")
             return 0
-        print(f"rank {d.rank}  eff {e:.6f}  exponent {expo:.6f}")
+        hashing = None
         if args.rho is not None and args.tensor == "t2112":
-            print(f"hashing exponent at rho={args.rho}: "
-                  f"{omega_rho_t2112(args.rho):.6f}")
+            hashing = _from_args(omega_rho_t2112, args.rho)
+        print(f"rank {d.rank}  eff {e:.6f}  exponent {expo:.6f}")
+        if hashing is not None:
+            print(f"hashing exponent at rho={args.rho}: {hashing:.6f}")
         return 0
 
     if args.cmd == "exponents":
@@ -180,8 +202,8 @@ def main(argv=None) -> int:
         return 0
 
     if args.cmd == "solve":
-        decomp = zoo.zoo_decomposition(args.tensor, args.eps)
         try:
+            decomp = zoo.zoo_decomposition(args.tensor, args.eps)
             if args.path:
                 inst = read_instance(args.path, load_sidecar=True)
                 if inst.q != 2:
@@ -263,7 +285,7 @@ def main(argv=None) -> int:
                 print("loaded: rank", d.rank, "shape",
                       (d.shape.q_i, d.shape.q_j, d.shape.q_k))
                 return 0
-            target = zoo.zoo_target(args.against, args.eps)
+            target = _from_args(zoo.zoo_target, args.against, args.eps)
             exp = tensor_of_decomposition(d)
             scale = max(np.abs(target.coeff).max(), 1e-300)
             err = np.abs(exp.coeff - target.coeff).max() / scale
@@ -283,8 +305,8 @@ def main(argv=None) -> int:
 
     if args.cmd == "gamma-opt":
         t = (zoo.t2112_limit_tensor() if args.tensor == "t2112"
-             else zoo.zoo_target(args.tensor, args.eps))
-        qp, g, conv = optimize_gamma(t, rho_joint_matrix(args.rho),
+             else _from_args(zoo.zoo_target, args.tensor, args.eps))
+        qp, g, conv = optimize_gamma(t, _from_args(rho_joint_matrix, args.rho),
                                      n_starts=args.starts)
         print(f"gamma {g:.6f} converged={conv}")
         print("Q_x:", np.round(qp.Q_x, 6).tolist())
@@ -293,7 +315,8 @@ def main(argv=None) -> int:
 
     if args.cmd == "design-q":
         t = (zoo.sw_target() if args.tensor == "sw" else zoo.t2112_limit_tensor())
-        qp, g, eps = design_q_matrices(t, rho_joint_matrix(args.rho))
+        qp, g, eps = _from_args(design_q_matrices, t,
+                                _from_args(rho_joint_matrix, args.rho))
         base = eff_table(t).total ** 2 / 4
         print(f"gamma {g:.6f} (uniform baseline {base:.6f}) at eps={eps}")
         print("Q_x:", np.round(qp.Q_x, 6).tolist())
@@ -309,6 +332,8 @@ def main(argv=None) -> int:
         return 0 if rep["pass"] else 1
 
     if args.cmd == "success-curve":
+        _from_args(zoo.zoo_decomposition, args.tensor, args.eps)
+        _from_args(_check_run_options, args.reps, None)
         rows, text = cmd_success_curve(
             args.tensor, args.n, args.rho, seeds=args.seeds, eps=args.eps,
             reps=args.reps, lsh=args.lsh, null=args.null, jobs=args.jobs,

@@ -163,17 +163,17 @@ def kronecker(t1: Tensor, t2: Tensor, capacity: int = DEFAULT_CAPACITY) -> Tenso
     return Tensor(shape, np.ascontiguousarray(out.reshape(shape.coeff_shape)))
 
 
-def tensor_power(t: Tensor, n: int, capacity: int = DEFAULT_CAPACITY) -> Tensor:
+def tensor_power(t: Tensor, n: int) -> Tensor:
     out = t
     for _ in range(n - 1):
-        out = kronecker(out, t, capacity)
+        out = kronecker(out, t)
     return out
 
 
-def kron_decomposition(d1: Decomposition, d2: Decomposition,
-                       capacity: int = DEFAULT_CAPACITY) -> Decomposition:
+def kron_decomposition(d1: Decomposition, d2: Decomposition) -> Decomposition:
     shape = d1.shape.kron(d2.shape)
-    _check_capacity(d1.rank * d2.rank * max(shape.coeff_shape) ** 2, capacity)
+    _check_capacity(d1.rank * d2.rank * max(shape.coeff_shape) ** 2,
+                    DEFAULT_CAPACITY)
     terms = []
     for a in d1.terms:
         for b in d2.terms:

@@ -358,9 +358,10 @@ def _align_to_peak(P: np.ndarray):
     return pr, pc
 
 
-def design_q_matrices(t: Tensor, P: np.ndarray, eps: float | None = None,
-                      eps_grid=(0.3, 0.2, 0.15, 0.1, 0.05, 0.02, 0.01, 0.005,
-                                0.002, 0.001)):
+DESIGN_EPS_GRID = (0.3, 0.2, 0.15, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
+
+
+def design_q_matrices(t: Tensor, P: np.ndarray):
     """Constructive stochastic pair with gamma strictly above the uniform value.
 
     Implements the two-step normalized-matrix construction: boost the (0,0)
@@ -427,10 +428,9 @@ def design_q_matrices(t: Tensor, P: np.ndarray, eps: float | None = None,
             continue
         # b >= 0 requires eps >= (q+1) (c_1 (1-1/q) - ctail/q)
         eps_floor = max(0.0, (q + 1.0) * (c[0] * (1.0 - 1.0 / q) - ctail / q))
-        grid = [eps] if eps is not None else \
-            sorted({e for e in eps_grid if e > eps_floor}
-                   | ({eps_floor * 1.25, eps_floor + 0.01} if eps_floor > 0
-                      else set()), reverse=True)
+        grid = sorted({e for e in DESIGN_EPS_GRID if e > eps_floor}
+                      | ({eps_floor * 1.25, eps_floor + 0.01} if eps_floor > 0
+                         else set()), reverse=True)
         for e in grid:
             got = _design_attempt(t, P, A, Ainv, c, ctail, pr, pc, sy, q, e,
                                   base)

@@ -41,7 +41,8 @@ def default_jobs() -> int:
     return max(1, min(2, os.cpu_count() or 1))
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96):
+def wilson_interval(successes: int, trials: int):
+    z = 1.96                     # the 95% interval
     if trials == 0:
         return 0.0, 1.0
     p = successes / trials
@@ -189,10 +190,10 @@ def locate_corrupt_term(d, target):
     return None
 
 
-def cmd_verify(eps_values=(0.5, 0.1, 0.025), seed: int = 0, fast: bool = False):
+def cmd_verify(fast: bool = False):
     """Identity, table, oracle-equivalence, and probabilistic-lemma checks."""
     checks = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
 
     st = zoo.strassen_decomposition()
     checks.append(_check(
@@ -203,7 +204,7 @@ def cmd_verify(eps_values=(0.5, 0.1, 0.025), seed: int = 0, fast: bool = False):
     checks.append(_check(
         "sw_identity",
         np.array_equal(tensor_of_decomposition(sw).coeff, zoo.sw_target().coeff)))
-    for eps in eps_values:
+    for eps in (0.5, 0.1, 0.025):
         exp = tensor_of_decomposition(zoo.t2112_decomposition(eps, warn=False))
         tgt = zoo.t2112_target(eps)
         err = np.abs(exp.coeff - tgt.coeff).max() / np.abs(tgt.coeff).max()
@@ -233,7 +234,7 @@ def cmd_verify(eps_values=(0.5, 0.1, 0.025), seed: int = 0, fast: bool = False):
                              f"rel err {worst:.2e}"))
 
     if not fast:
-        lc = lemma_checks(seed=seed, draws=20000, n_sets=8)
+        lc = lemma_checks(draws=20000, n_sets=8)
         checks.append(_check("lemma_suite", lc["pass"]))
 
     passed = all(c["pass"] for c in checks)

@@ -7,9 +7,12 @@ clears the plan threshold name candidate bucket pairs, whose members are then
 verified by their inner products over all d raw bits.  Rounds redraw
 buckets, coordinates, and signs; a verified pair ends the run.
 
-Hashing solver: bucket indices are drawn per copy by pushing raw coordinates
-through the stochastic pair (Q_x, Q_y), the tensor is interleaved with its
-reflection, and the same round driver runs detection and verification.
+Hashing solver: each bucket digit of a copy takes one comparison, a uniform
+draw against the chance that Q_x or Q_y keeps that raw bit at digit 0; the
+tensor is interleaved with its reflection, detection reads the raw bits XORed
+with the sign flips fixed at planning, and the same round driver runs
+detection and verification.  A solve reports the final round's strongest
+flagged cells.
 
 Each plan builds its detection kernel once, as a Detector: every distinct
 planned level is screened numerically, an exact-matmul level product is
@@ -118,8 +121,7 @@ class Detector:
             return A @ B.T
         if self.kind == "subset_diag":
             return _apply_subset_diag(self.masks, A, B, counter=counter)
-        return apply_power(self.levels, A.astype(np.float32),
-                           B.astype(np.float32), dtype=np.float32,
+        return apply_power(self.levels, A, B, dtype=np.float32,
                            counter=counter)
 
     def variance(self, sizes_x, sizes_y) -> np.ndarray:
@@ -145,7 +147,7 @@ class SolverPlan:
     rho_det: float = 0.0          # post-expansion correlation of the planted pair
     lsh: bool = False
     qp: StochasticPair | None = None
-    P: np.ndarray | None = None
+    flips: tuple = (0, 0)         # XORed into X / Y bits for hashing-path detection
     copies: int = 0               # per-copy count for the hashing path
     # provenance of the closed-form plan quantities
     exponent: float = 0.0         # log rank / log eff (f sqrt|S_f| or q sqrt gamma)
@@ -176,7 +178,7 @@ class BucketState:
 class DetectionReport:
     found: bool
     candidates: list             # verified (input_i, input_j) pairs
-    flagged: list                # (bucket_i, bucket_j, hit_count) aggregated over rounds
+    flagged: list                # final round's (bucket_i, bucket_j, score), top first
     rounds_run: int
     stats: list                  # per-round dicts
 
@@ -739,14 +741,15 @@ def _run_rounds(instance: Instance, plan: SolverPlan, seed: int, stream: int,
     Round k draws its buckets with draw(k, rng, offset) from the round's own
     RNG (spawn key (stream, k)) at a window offset that advances d' per
     round; members of flagged bucket pairs are verified on packed bits_x /
-    bits_y.  Stops after the first round that verifies a pair.
+    bits_y.  Stops after the first round that verifies a pair, and reports
+    that round's flags, strongest first, at most 1000.
     """
     words_x, words_y = pack_bits(bits_x), pack_bits(bits_y)
     master = np.random.SeedSequence(seed)
     fam = SplitFamily(instance.d, plan.r)
     base_offset = int(np.random.default_rng(master.spawn(1)[0]).integers(fam.size))
-    hits: dict = {}
     stats = []
+    flags: list = []
     candidates: list = []
     for k in range(plan.reps):
         ss = np.random.SeedSequence(entropy=master.entropy, spawn_key=(stream, k))
@@ -754,16 +757,13 @@ def _run_rounds(instance: Instance, plan: SolverPlan, seed: int, stream: int,
         offset = (base_offset + k * plan.d_prime) % fam.size
         state = draw(k, rng, offset)
         flags = detect(state, plan, counter=counter)
-        for i, j, _ in flags:
-            hits[(i, j)] = hits.get((i, j), 0) + 1
         cand = _collect_candidates(state, flags)
         candidates = verify_candidates(instance, cand, plan, words_x, words_y)
         stats.append({"round": k, "flags": len(flags),
                       "verified": len(candidates)})
         if candidates:
             break
-    flagged = sorted(((i, j, c) for (i, j), c in hits.items()),
-                     key=lambda x: -x[2])[:1000]
+    flagged = sorted(flags, key=lambda f: -f[2])[:1000]
     return DetectionReport(bool(candidates), candidates, flagged, len(stats),
                            stats)
 
@@ -822,6 +822,8 @@ def plan_lsh(n: int, P: np.ndarray, decomp: Decomposition, qp: StochasticPair,
     PD_r = qp.Q_y.T @ P @ qp.Q_x
     # conservative per-round estimate via the digit agreement law
     mapping = map_to_pm1(P)
+    # q = 2: the balanced map's sign bit of b is b ^ (sign bit of symbol 0)
+    flips = (int(mapping.g[0] < 0), int(mapping.h[0] < 0))
     _require_verifiable(mapping.rho_out, d, reps)
     r = default_subset_size(d, mapping.rho_out, (qk ** (2 * N)) * (reps + 1))
     rho_det = mapping.rho_out ** r
@@ -849,7 +851,7 @@ def plan_lsh(n: int, P: np.ndarray, decomp: Decomposition, qp: StochasticPair,
         N=N, g=float(g_target),
         t=1, reps=reps, detect_sigma=float(sigma),
         symmetrized=True, detector=detector, r=r, rho_det=rho_det,
-        lsh=True, qp=qp, P=P, copies=c,
+        lsh=True, qp=qp, flips=flips, copies=c,
         exponent=exponent_bound(decomp.rank, q * math.sqrt(g)),
         p_round_est=p_est, notes=_plan_notes(p_est, reps, detector),
     )
@@ -888,19 +890,13 @@ def _lsh_p_round(table, PD_t, PD_r, N, lam, rho_det, sigma):
     return 1.0 - _phi((need - mu) / sd)
 
 
-def _lsh_memberships(symbols: np.ndarray, Qs, copies: int, rng, q: int):
-    """Bucket digit strings: digit l of each copy is the Q-transition of raw
-    coordinate l; Qs lists the per-digit transition matrix."""
-    n = symbols.shape[0]
-    L = len(Qs)
-    mem = np.zeros((n, copies), dtype=np.int64)
-    cum = [np.cumsum(Q, axis=1) for Q in Qs]
-    for l in range(L):
-        src = symbols[:, l].astype(int)
-        u = rng.random((n, copies))
-        thr = cum[l][src]                       # n x q
-        digit = (u[:, :, None] >= thr[:, None, :]).sum(axis=2)
-        mem = mem * q + digit
+def _lsh_memberships(bits: np.ndarray, stay, copies: int, rng):
+    """Bucket ids of every copy: digit l is 1 when a uniform draw reaches
+    stay[l][b], the chance that level l's Q keeps raw bit b = bits[:, l] at
+    digit 0, so ids stay below 2^len(stay)."""
+    mem = np.zeros((bits.shape[0], copies), dtype=np.int64)
+    for l, s in enumerate(stay):
+        mem = mem * 2 + (rng.random(mem.shape) >= s[bits[:, l]][:, None])
     return mem
 
 
@@ -909,31 +905,29 @@ def solve_lsh(instance: Instance, decomp: Decomposition,
               seed: int = 0,
               counter: MultiplyCounter | None = None) -> DetectionReport:
     """Hashing-boosted solve: bucket ids from Q-perturbed raw coordinates,
-    detection on sign-mapped fresh coordinates through the symmetrized tensor.
-    Stops after the first round that verifies a pair."""
+    detection on sign-flipped fresh coordinates through the symmetrized
+    tensor.  Stops after the first round that verifies a pair."""
     if plan is None:
         if qp is None:
             raise ValueError("need a stochastic pair or a prebuilt plan")
         P = (instance.P if instance.P is not None
              else rho_joint_matrix(instance.rho))
         plan = plan_lsh(instance.n, P, decomp, qp, d=instance.d)
-    q = plan.qp.q
-    mapping = map_to_pm1(plan.P)
-    # sign-map symbols once; detection expands windows of the mapped bits
-    bits_x = (mapping.apply_x(instance.X) < 0).astype(np.uint8)
-    bits_y = (mapping.apply_y(instance.Y) < 0).astype(np.uint8)
+    # detection expands windows of the sign-flipped bits
+    bits_x = instance.X ^ np.uint8(plan.flips[0])
+    bits_y = instance.Y ^ np.uint8(plan.flips[1])
 
     L = 2 * plan.N
-    Q_x, Q_y = plan.qp.Q_x, plan.qp.Q_y
-    Qs_x = [Q_x if (l % 2 == 0) else Q_y for l in range(L)]
-    Qs_y = [Q_y if (l % 2 == 0) else Q_x for l in range(L)]
+    stay_x, stay_y = plan.qp.Q_x[:, 0], plan.qp.Q_y[:, 0]
+    stays_x = [stay_x, stay_y] * plan.N     # levels alternate T, reflection
+    stays_y = [stay_y, stay_x] * plan.N
 
     def draw(k, rng, offset):
         start = (k * L) % max(instance.d - L, 1)
         win_x = instance.X[:, start:start + L]
         win_y = instance.Y[:, start:start + L]
-        mem_x = _lsh_memberships(win_x, Qs_x, plan.copies, rng, q)
-        mem_y = _lsh_memberships(win_y, Qs_y, plan.copies, rng, q)
+        mem_x = _lsh_memberships(win_x, stays_x, plan.copies, rng)
+        mem_y = _lsh_memberships(win_y, stays_y, plan.copies, rng)
         return _bucket_state(bits_x, bits_y, mem_x, mem_y, plan, offset, rng)
 
     return _run_rounds(instance, plan, seed, 2, draw, bits_x, bits_y, counter)

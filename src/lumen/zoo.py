@@ -32,6 +32,7 @@ __all__ = [
     "zoo_decomposition",
     "zoo_target",
     "zoo_entries",
+    "ZOO",
     "DEFAULT_EPS",
     "EPS_CONDITION_WARN",
 ]
@@ -265,36 +266,35 @@ def t2112_derivation_check(eps_values=(0.5, 0.1)) -> bool:
 # registry
 # ---------------------------------------------------------------------------
 
+# name -> (decomposition, target), each built from eps; only t2112 reads it
+ZOO = {
+    "strassen": (lambda eps: strassen_decomposition(),
+                 lambda eps: matmul_tensor(2, 2)),
+    "sw": (lambda eps: sw_decomposition(), lambda eps: sw_target()),
+    "t2112": (t2112_decomposition, t2112_target),
+}
+
+
+def _zoo_lookup(name: str):
+    name = name.lower()
+    if name not in ZOO:
+        raise KeyError(f"unknown tensor {name!r}; have {', '.join(ZOO)}")
+    return ZOO[name]
+
+
 def zoo_entries(eps: float = DEFAULT_EPS):
     """All built-in tensors with their declared ranks and reference efficacies."""
     from .efficacy import eff_table
     out = []
-    for name, d, target in [
-        ("strassen", strassen_decomposition(), matmul_tensor(2, 2)),
-        ("sw", sw_decomposition(), sw_target()),
-        (f"t2112", t2112_decomposition(eps), t2112_target(eps)),
-    ]:
-        out.append(ZooEntry(name, d, target, d.rank, eff_table(target).total))
+    for name, (decomposition, target) in ZOO.items():
+        d, t = decomposition(eps), target(eps)
+        out.append(ZooEntry(name, d, t, d.rank, eff_table(t).total))
     return out
 
 
 def zoo_decomposition(name: str, eps: float = DEFAULT_EPS) -> Decomposition:
-    name = name.lower()
-    if name == "strassen":
-        return strassen_decomposition()
-    if name == "sw":
-        return sw_decomposition()
-    if name == "t2112":
-        return t2112_decomposition(eps)
-    raise KeyError(f"unknown tensor {name!r}; have strassen, sw, t2112")
+    return _zoo_lookup(name)[0](eps)
 
 
 def zoo_target(name: str, eps: float = DEFAULT_EPS) -> Tensor:
-    name = name.lower()
-    if name == "strassen":
-        return matmul_tensor(2, 2)
-    if name == "sw":
-        return sw_target()
-    if name == "t2112":
-        return t2112_target(eps)
-    raise KeyError(f"unknown tensor {name!r}")
+    return _zoo_lookup(name)[1](eps)

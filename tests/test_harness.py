@@ -193,7 +193,21 @@ class TestCli:
         (["solve", "--n", "64", "--d", "512", "--rho", "0.8", "--sigma",
           "-1"], "detect_sigma = -1.0 is not positive"),
         (["solve", "--lsh", "--n", "64", "--d", "512", "--rho", "0.8",
-          "--sigma", "nan"], "detect_sigma = nan is not positive")])
+          "--sigma", "nan"], "detect_sigma = nan is not positive"),
+        (["solve", "--eps", "0", "--n", "64", "--d", "128"],
+         "lumen solve: eps must be positive"),
+        (["eff", "--eps", "0"], "lumen eff: eps must be positive"),
+        (["exponent", "--tensor", "t2112", "--eps", "-1"],
+         "lumen exponent: eps must be positive"),
+        (["zoo", "dump", "t2112", "--eps", "0"],
+         "lumen zoo: eps must be positive"),
+        (["gamma-opt", "--rho", "2"],
+         "lumen gamma-opt: rho must lie in [-1, 1]"),
+        (["exponent", "--tensor", "t2112", "--rho", "1.5"],
+         "lumen exponent: rho must lie in [0, 1]"),
+        (["design-q", "--rho", "0"], "lumen design-q: P must not be uniform"),
+        (["success-curve", "--tensor", "strassen", "--n", "64", "--seeds", "1",
+          "--reps", "0"], "lumen success-curve: reps = 0 is below 1")])
     def test_infeasible_input_exits_2(self, tmp_path, monkeypatch, capsys,
                                       argv, why):
         monkeypatch.chdir(tmp_path)

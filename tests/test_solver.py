@@ -10,16 +10,17 @@ from lumen import solver
 from lumen.core import (MultiplyCounter, Rank1Term, Decomposition, Tensor,
                         TensorShape, apply_power, kronecker,
                         reflect_decomposition, tensor_of_decomposition)
-from lumen.efficacy import (eff_table, exponent_bound, rho_joint_matrix,
-                            t2112_flip_pair, t2112_optimal_a, uniform_pair)
-from lumen.instances import SplitFamily, gen_planted, pack_bits
+from lumen.efficacy import (StochasticPair, eff_table, exponent_bound,
+                            rho_joint_matrix, t2112_flip_pair,
+                            t2112_optimal_a, uniform_pair)
+from lumen.instances import SplitFamily, gen_planted, gen_planted_p, pack_bits
 from lumen.solver import (BucketState, PlanError, bucket_uniform, detect,
                           lemma_checks, plan_lsh, plan_uniform, skew_metrics,
                           solve_lsh, solve_uniform, verify_candidates,
                           verify_threshold,
                           _apply_subset_diag, _bucket_state, _build_detector,
-                          _dedupe_rows, _pair_weight_matrix, _threshold_choice,
-                          _variance_map)
+                          _dedupe_rows, _lsh_memberships, _pair_weight_matrix,
+                          _threshold_choice, _variance_map)
 from lumen.zoo import (matmul_tensor, strassen_decomposition,
                        sw_decomposition, t2112_decomposition)
 
@@ -511,6 +512,28 @@ class TestVerify:
                 plan_uniform(256, 0.3, d, d=256)
 
 
+class TestReport:
+    @pytest.mark.parametrize("lsh", [False, True])
+    def test_flagged_is_the_final_rounds_flags(self, lsh):
+        """flagged lists the cells of the round the candidates came from,
+        with their scores, strongest first."""
+        if lsh:
+            decomp, solve, n, rho = sw_decomposition(), solve_lsh, 128, 0.6
+            plan = plan_lsh(n, rho_joint_matrix(rho), decomp,
+                            t2112_flip_pair(rho), d=256)
+        else:
+            decomp, solve, n, rho = (strassen_decomposition(), solve_uniform,
+                                     256, 0.8)
+            plan = plan_uniform(n, rho, decomp, d=256)
+        plan = dataclasses.replace(plan, reps=3)
+        inst = gen_planted(n, 256, rho, seed=901, planted=False)
+        rep = solve(inst, decomp, plan=plan, seed=1)
+        scores = [s for _, _, s in rep.flagged]
+        assert scores and min(scores) >= plan.detect_sigma
+        assert scores == sorted(scores, reverse=True)
+        assert len(rep.flagged) <= rep.stats[-1]["flags"]
+
+
 class TestSolveUniform:
     def test_rho_one_always_recovers(self):
         d = strassen_decomposition()
@@ -621,16 +644,67 @@ class TestLsh:
         qp = uniform_pair(2)
         pl = plan_lsh(128, rho_joint_matrix(0.6), d, qp, d=256)
         inst = gen_planted(128, 256, 0.6, seed=13)
-        from lumen.solver import _lsh_memberships, _bucket_sizes
+        from lumen.solver import _bucket_sizes
         rng = np.random.default_rng(7)
         L = 2 * pl.N
-        Qs = [qp.Q_x] * L
-        mem = _lsh_memberships(inst.X[:, :L], Qs, pl.copies, rng, 2)
+        stay = [qp.Q_x[:, 0]] * L
+        mem = _lsh_memberships(inst.X[:, :L], stay, pl.copies, rng)
         sizes = _bucket_sizes(mem, pl.m)
         lam = 128 * pl.copies / pl.m
         # Poisson-like occupancy: mean and variance agree with the uniform law
         assert abs(sizes.mean() - lam) < 4 * math.sqrt(lam / pl.m)
         assert 0.6 < sizes.var() / lam < 1.5
+
+    @staticmethod
+    def _threshold_memberships(symbols, Qs, copies, rng):
+        """The q-ary draw: digit l is the number of cumulative row sums of
+        Qs[l] at the symbol that a uniform draw reaches."""
+        mem = np.zeros((symbols.shape[0], copies), dtype=np.int64)
+        for l, Q in enumerate(Qs):
+            u = rng.random(mem.shape)
+            thr = np.cumsum(Q, axis=1)[symbols[:, l].astype(int)]
+            mem = mem * Q.shape[0] + (u[:, :, None] >= thr[:, None, :]).sum(2)
+        return mem
+
+    @pytest.mark.parametrize("qp", [t2112_flip_pair(0.2), t2112_flip_pair(0.8),
+                                    uniform_pair(2)],
+                             ids=["flip0.2", "flip0.8", "uniform"])
+    def test_one_comparison_per_digit_matches_threshold_draw(self, qp):
+        bits = np.random.default_rng(3).integers(0, 2, size=(300, 8),
+                                                 dtype=np.uint8)
+        Qs = [qp.Q_x, qp.Q_y] * 4
+        want = self._threshold_memberships(bits, Qs, 3,
+                                           np.random.default_rng(21))
+        got = _lsh_memberships(bits, [Q[:, 0] for Q in Qs], 3,
+                               np.random.default_rng(21))
+        assert np.array_equal(got, want)
+
+    def test_ids_stay_below_m_when_rows_sum_short(self):
+        """Rows summing to 1 - 1e-10 are valid; a draw of 1 - 1e-12 lies past
+        their cumulative sum, and still lands on digit 1."""
+        class AlmostOne:
+            def random(self, shape):
+                return np.full(shape, 1.0 - 1e-12)
+
+        Q = np.array([[0.3, 0.7 - 1e-10], [0.6, 0.4 - 1e-10]])
+        qp = StochasticPair(Q, Q.copy())
+        bits = np.random.default_rng(4).integers(0, 2, size=(50, 6),
+                                                 dtype=np.uint8)
+        mem = _lsh_memberships(bits, [qp.Q_x[:, 0]] * 6, 2, AlmostOne())
+        assert (mem == 2 ** 6 - 1).all()
+
+    def test_complemented_side_recovers(self):
+        """P anti-correlates the raw bits, so the y side's sign map is
+        flipped; with Q_x = Q_y = I buckets copy the raw bits."""
+        P = rho_joint_matrix(0.6)[:, ::-1]
+        decomp = sw_decomposition()
+        plan = plan_lsh(128, P, decomp, StochasticPair(np.eye(2), np.eye(2)),
+                        d=256)
+        assert plan.N == 4 and plan.flips in ((0, 1), (1, 0))
+        for s in range(5):
+            inst = gen_planted_p(128, 256, 2, P, seed=900 + s)
+            rep = solve_lsh(inst, decomp, plan=plan, seed=s)
+            assert rep.candidates == [inst.planted()]
 
 
 class TestLemmaChecks:

@@ -9,7 +9,8 @@ from lumen.core import tensor_of_decomposition
 from lumen.efficacy import eff_entry, eff_table, exponent_bound
 from lumen.zoo import (matmul_tensor, strassen_decomposition, sw_decomposition,
                        sw_target, t2112_decomposition, t2112_derivation_check,
-                       t2112_limit_tensor, t2112_target, zoo_entries)
+                       t2112_limit_tensor, t2112_target, zoo_decomposition,
+                       zoo_entries, zoo_target)
 
 
 class TestMatmulTensor:
@@ -134,6 +135,12 @@ class TestZooRegistry:
             scale = max(np.abs(e.target.coeff).max(), 1.0)
             assert np.abs(exp.coeff - e.target.coeff).max() <= 1e-12 * scale
             assert abs(eff_table(e.target).total - e.declared_eff) < 1e-12
+
+    @pytest.mark.parametrize("lookup", [zoo_decomposition, zoo_target])
+    def test_unknown_name_lists_the_known(self, lookup):
+        with pytest.raises(KeyError, match="unknown tensor 'foo'; have "
+                                           "strassen, sw, t2112"):
+            lookup("Foo")
 
     def test_eff_bounded_by_sqrt_qk(self):
         rng = np.random.default_rng(0)
