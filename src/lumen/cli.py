@@ -34,6 +34,18 @@ def _from_args(make, *args):
         raise _BadArgument(e.args[0]) from e
 
 
+def _check_seed(seed: int):
+    """numpy seeds are non-negative integers."""
+    if seed < 0:
+        raise _BadArgument(f"seed = {seed} is negative")
+
+
+def _check_rho(rho: float):
+    """Planted instances take a correlation in [0, 1]."""
+    if not 0.0 <= rho <= 1.0:
+        raise _BadArgument(f"rho = {rho} must lie in [0, 1]")
+
+
 def _tensor_args(p):
     p.add_argument("--tensor", default="t2112", choices=list(zoo.ZOO))
     p.add_argument("--eps", type=float, default=zoo.DEFAULT_EPS)
@@ -187,6 +199,7 @@ def _run(args) -> int:
         return 0
 
     if args.cmd == "gen":
+        _check_seed(args.seed)
         try:
             inst = gen_planted(args.n, args.d, args.rho, args.seed,
                                planted=not args.null)
@@ -202,6 +215,7 @@ def _run(args) -> int:
         return 0
 
     if args.cmd == "solve":
+        _check_seed(args.seed)
         try:
             decomp = zoo.zoo_decomposition(args.tensor, args.eps)
             if args.path:
@@ -238,6 +252,8 @@ def _run(args) -> int:
             "plan": {"N": plan.N, "m": plan.m, "t": plan.t, "g": plan.g,
                      "reps": plan.reps, "detect_sigma": plan.detect_sigma,
                      "r": plan.r, "rho_det": plan.rho_det, "kernel": plan.kernel,
+                     "rank_product": plan.detector.rank_product,
+                     "multiplies_per_round": plan.detector.multiplies,
                      "verify_threshold": verify_threshold(inst.d, plan.reps),
                      "symmetrized": plan.symmetrized, "lsh": plan.lsh,
                      "exponent": plan.exponent, "notes": plan.notes},
@@ -324,6 +340,7 @@ def _run(args) -> int:
         return 0
 
     if args.cmd == "lemma-check":
+        _check_seed(args.seed)
         rep = lemma_checks(seed=args.seed)
         for k, v in rep.items():
             if isinstance(v, dict):
@@ -334,6 +351,8 @@ def _run(args) -> int:
     if args.cmd == "success-curve":
         _from_args(zoo.zoo_decomposition, args.tensor, args.eps)
         _from_args(_check_run_options, args.reps, None)
+        for rho in args.rho:
+            _check_rho(rho)
         rows, text = cmd_success_curve(
             args.tensor, args.n, args.rho, seeds=args.seeds, eps=args.eps,
             reps=args.reps, lsh=args.lsh, null=args.null, jobs=args.jobs,

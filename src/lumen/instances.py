@@ -247,12 +247,6 @@ class PmMapping:
     h: np.ndarray            # y-side symbol -> {-1, +1}
     rho_out: float
 
-    def apply_x(self, symbols: np.ndarray) -> np.ndarray:
-        return self.g[symbols]
-
-    def apply_y(self, symbols: np.ndarray) -> np.ndarray:
-        return self.h[symbols]
-
 
 def map_to_pm1(P: np.ndarray) -> PmMapping:
     """Greedy balanced sign mappings with E[g(x) h(y)] > 0 under P and zero

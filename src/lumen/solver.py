@@ -15,24 +15,30 @@ detection and verification.  A solve reports the final round's strongest
 flagged cells.
 
 Each plan builds its detection kernel once, as a Detector: every distinct
-planned level is screened numerically, an exact-matmul level product is
-computed as one BLAS product, and decompositions whose coefficient spread
-would destroy double precision at the planned power are replaced by the
-unit-term decomposition of their expanded tensor (dropping coefficients whose
-total variance share is negligible, checked and recorded on the plan).  The
-Detector also holds the forced digits of the subset_diag kernel and the
-per-level transfer matrices of the variance map, and builds the kernel's
-per-mask einsum table on its first apply, so rounds rebuild none of them.
-The subset_diag kernel runs each off-digit mask as one einsum over strided
+planned level is screened numerically, and decompositions whose coefficient
+spread would destroy double precision at the planned power are replaced by
+the unit-term decomposition of their expanded tensor (dropping coefficients
+whose total variance share is negligible, checked and recorded on the plan).
+When every executable level is a unit-coefficient subset of matmul, so a 0/1
+mask over the matmul slots, detection runs one of two mask kernels and the
+variance map is closed form: outer(sizes_x, sizes_y) times the Kronecker
+product of each level's kept-slot counts.  The subset_diag kernel (levels
+whose diagonal cells keep both k slots and whose off cells keep one, as the
+t2112 surrogate does) runs each off-digit mask as one einsum over strided
 views of K-major operands whose row digits are rotated so that the mask's
-longest run of free digits is contiguous; no mask copies an operand.
+longest run of free digits is contiguous; its per-mask einsum table is built
+on the first apply.  The masked_matmul kernel (any other mask, as sw's; an
+exact matmul level omits no slot) expands the omitted slots by
+inclusion-exclusion into signed BLAS products over fixed-digit sub-blocks,
+and is one A @ B.T for matmul.  Other levels run the rank recursion and the
+pair-weight variance sweep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -83,19 +89,27 @@ class PlanError(Exception):
 class Detector:
     """How a plan's detection step runs; built once by _build_detector.
 
-    kind is 'matmul' (one BLAS product), 'subset_diag' (one einsum per
-    off-digit pattern over strided views of row-rotated K-major operands)
-    or 'sweep' (the rank recursion).  levels are the executable per-level
-    decompositions, forced the L x 2 array of k digits that the (0,1) and
-    (1,0) off cells force (subset_diag only, else None), weights the
-    transposed per-level pair-weight matrices of the variance sweep, and
-    dropped_var the largest variance share a surrogate level dropped.
+    kind is 'subset_diag' (one einsum per off-digit pattern over strided
+    views of row-rotated K-major operands), 'masked_matmul' (signed BLAS
+    products over the slots each level omits from matmul; one A @ B.T when
+    it omits none) or 'sweep' (the rank recursion).  levels are the
+    executable per-level decompositions and rank_product the paper's
+    prod(rank_l) over the planned ones.  The mask kinds keep counts, each
+    level's K_l[i, j] = the k slots it keeps at output (i, j); subset_diag
+    keeps forced, the L x 2 array of k digits that the (0,1) and (1,0) off
+    cells force; masked_matmul keeps missing, each level's omitted (i, k, j)
+    slots; sweep keeps weights, the transposed per-level pair-weight
+    matrices of the variance sweep.  dropped_var is the largest variance
+    share a surrogate level dropped.
     """
     kind: str
     levels: tuple
-    forced: np.ndarray | None
-    weights: tuple
+    rank_product: int
     dropped_var: float
+    counts: tuple = ()
+    forced: np.ndarray | None = None
+    missing: tuple = ()
+    weights: tuple = ()
 
     @property
     def m(self) -> int:
@@ -107,6 +121,15 @@ class Detector:
         """Detection coordinates per round."""
         return math.prod(d.shape.q_k for d in self.levels)
 
+    @property
+    def multiplies(self) -> int:
+        """Multiplies one apply executes: prod(q_i q_k q_j + |E_l|) for
+        masked_matmul, prod(rank_l) of the executable levels otherwise."""
+        if self.kind == "masked_matmul":
+            return math.prod(d.shape.q_i * d.shape.q_k * d.shape.q_j + len(E)
+                             for d, E in zip(self.levels, self.missing))
+        return math.prod(d.rank for d in self.levels)
+
     @cached_property
     def masks(self) -> tuple:
         """The subset_diag kernel's per-mask einsum table, built on the
@@ -115,21 +138,20 @@ class Detector:
 
     def apply(self, A, B, counter: MultiplyCounter | None = None):
         """Scores C of the sign-flipped m x d' aggregates A and B."""
-        if self.kind == "matmul":
-            if counter is not None:
-                counter.add(A.shape[0] * A.shape[1] * B.shape[0])
-            return A @ B.T
         if self.kind == "subset_diag":
             return _apply_subset_diag(self.masks, A, B, counter=counter)
+        if self.kind == "masked_matmul":
+            return _apply_masked_matmul(
+                tuple(d.shape for d in self.levels), self.missing, A, B,
+                counter=counter)
         return apply_power(self.levels, A, B, dtype=np.float32,
                            counter=counter)
 
     def variance(self, sizes_x, sizes_y) -> np.ndarray:
         """Exact variance of every score cell given the realized sizes."""
-        if self.kind == "matmul":
-            return (np.outer(sizes_x, sizes_y).astype(np.float64)
-                    * self.d_prime)
-        return _variance_map(self.weights, sizes_x, sizes_y)
+        if self.kind == "sweep":
+            return _variance_map(self.weights, sizes_x, sizes_y)
+        return _count_variance(self.counts, sizes_x, sizes_y)
 
 
 @dataclass
@@ -265,25 +287,23 @@ def _unit_term_decomposition(t: Tensor, var_tol: float):
     return Decomposition(t.shape, tuple(terms)), (total - acc) / total
 
 
-def _subset_diag_pattern(t: Tensor):
-    """For q = 2 unit-coefficient subset-of-matmul tensors whose diagonal
-    output cells carry both k terms and whose off cells carry exactly one,
-    return the forced k digits (k at (0,1), k at (1,0)); else None."""
-    if (t.shape.q_i, t.shape.q_j, t.shape.q_k) != (2, 2, 2):
+def _unit_mask(t: Tensor):
+    """M[i, k, j] = coeff[i, k, j, k, i, j] when t is a unit-coefficient
+    subset-of-matmul tensor (every coefficient 0 or 1, on a matmul slot),
+    else None."""
+    if not (is_subset_of_matmul(t) and np.isin(t.coeff, (0.0, 1.0)).all()):
         return None
-    if not is_subset_of_matmul(t):
+    return np.einsum("ikjkij->ikj", t.coeff)
+
+
+def _subset_diag_pattern(M):
+    """For a q = 2 level mask whose diagonal output cells keep both k slots
+    and whose off cells keep exactly one, the forced k digits (k at (0,1),
+    k at (1,0)); else None."""
+    if (M is None or M.shape != (2, 2, 2)
+            or not np.array_equal(M.sum(axis=1), [[2, 1], [1, 2]])):
         return None
-    c = t.coeff
-    forced = []
-    for i, j in ((0, 0), (1, 1), (0, 1), (1, 0)):
-        ks = [k for k in range(2) if c[i, k, j, k, i, j] != 0]
-        if any(abs(c[i, k, j, k, i, j] - 1.0) > 1e-9 for k in ks):
-            return None
-        if len(ks) != (2 if i == j else 1):
-            return None
-        if i != j:
-            forced.append(ks[0])
-    return tuple(forced)
+    return int(M[0, 1, 1]), int(M[1, 1, 0])
 
 
 def _pair_weight_matrix(t: Tensor) -> np.ndarray:
@@ -300,9 +320,9 @@ def _build_detector(levels) -> Detector:
 
     A level whose coefficient spread would destroy double precision at this
     power is replaced by the unit-term surrogate of its expanded tensor.  The
-    kind is 'matmul' when every planned level is exactly a matmul tensor,
-    'subset_diag' when every executable level matches the forced/free digit
-    pattern, else 'sweep'.
+    kind is 'subset_diag' when every executable level matches the forced/free
+    digit pattern, else 'masked_matmul' when every executable level is a
+    unit-coefficient subset of matmul, else 'sweep'.
     """
     screened = {}
     for d in levels:
@@ -314,20 +334,22 @@ def _build_detector(levels) -> Detector:
         if _stability_scale(d) ** len(levels) * 1.1e-16 > STABILITY_TOL:
             exec_d, share = _unit_term_decomposition(t, SURROGATE_VAR_TOL)
             exec_t = tensor_of_decomposition(exec_d)
-        screened[id(d)] = (exec_d, _subset_diag_pattern(exec_t),
-                           _pair_weight_matrix(exec_t).T, share,
-                           _is_exact_matmul(t))
-    exec_levels, patterns, weights, shares, matmul = zip(
+        screened[id(d)] = (exec_d, exec_t, _unit_mask(exec_t), share)
+    exec_levels, tensors, masks, shares = zip(
         *(screened[id(d)] for d in levels))
-    forced = None
-    if all(matmul):
-        kind = "matmul"
-    elif all(p is not None for p in patterns):
-        kind = "subset_diag"
-        forced = np.array(patterns, dtype=np.int64)
-    else:
-        kind = "sweep"
-    return Detector(kind, exec_levels, forced, weights, max(shares))
+    common = dict(levels=exec_levels, dropped_var=max(shares),
+                  rank_product=math.prod(d.rank for d in levels))
+    if any(M is None for M in masks):
+        return Detector("sweep", weights=tuple(
+            _pair_weight_matrix(t).T for t in tensors), **common)
+    counts = tuple(M.sum(axis=1) for M in masks)
+    patterns = [_subset_diag_pattern(M) for M in masks]
+    if all(p is not None for p in patterns):
+        return Detector("subset_diag", counts=counts,
+                        forced=np.array(patterns, dtype=np.int64), **common)
+    return Detector("masked_matmul", counts=counts, missing=tuple(
+        tuple(tuple(map(int, e)) for e in np.argwhere(M == 0))
+        for M in masks), **common)
 
 
 def _free_run_end(off) -> int:
@@ -460,6 +482,71 @@ def _apply_subset_diag(masks, A, B, counter: MultiplyCounter | None = None):
     if counter is not None:
         counter.add(6 ** L)      # 2 x 2 diagonal and 2 off products a level
     return C
+
+
+def _fix_digit(X, q_row, q_col, p: int, r: int, c: int) -> np.ndarray:
+    """The 4-d view of the prod(q_row) x prod(q_col) matrix X on the rows
+    whose digit p is r and the columns whose digit p is c."""
+    X = X.reshape(math.prod(q_row[:p]), q_row[p], math.prod(q_row[p + 1:]),
+                  math.prod(q_col[:p]), q_col[p], math.prod(q_col[p + 1:]))
+    return X[:, r, :, :, c, :]
+
+
+def _apply_masked_matmul(shapes, missing, A, B,
+                         counter: MultiplyCounter | None = None,
+                         start: int = 0):
+    """Exact application of unit-coefficient subset-of-matmul levels.
+
+    shapes are the levels' TensorShapes and missing their omitted (i, k, j)
+    slots E_l.  C[I, J] = sum_K A[I, K] B[J, K] prod_l (1 - [slot l in E_l]),
+    expanded by inclusion-exclusion: every choice of "free" or one omitted
+    slot per level is one BLAS product between the fixed-digit sub-blocks of
+    A and B, signed into the matching sub-block of C.  The choices nest: C
+    starts as A @ B.T, and each omitted slot (i, k, j) of a level p >= start
+    subtracts, on the rows and columns whose digit p is i and j, the product
+    of the sub-blocks whose digits p are (i, k) and (j, k) with only levels
+    after p masked (the recursion's start).  With every E_l empty this is
+    exactly one A @ B.T.  Executes prod_l(q_i q_k q_j + |E_l|) multiplies:
+    9^L for sw, m d' m for matmul.
+
+    Exactness: each K of a cell is counted by at most one pending term, so
+    every partial sum, inside each product and between them, is a sum of
+    A[I, K] B[J, K] over some set of K.  On integer operands C is therefore
+    exact in float32, in any summation order, whenever
+    sum_K |A[I, K] B[J, K]| < 2^24 for every cell: the bound of the single
+    float32 A @ B.T, at any level count, so no float64 accumulator is needed.
+    """
+    C = A @ B.T
+    if counter is not None:
+        counter.add(A.shape[0] * A.shape[1] * B.shape[0])
+    qi, qk, qj = ([s.q_i for s in shapes], [s.q_k for s in shapes],
+                  [s.q_j for s in shapes])
+    for p in range(start, len(shapes)):
+        rest = shapes[:p] + shapes[p + 1:]
+        rest_missing = missing[:p] + missing[p + 1:]
+        for i, k, j in missing[p]:
+            a = _fix_digit(A, qi, qk, p, i, k)
+            b = _fix_digit(B, qj, qk, p, j, k)
+            sub = _apply_masked_matmul(
+                rest, rest_missing, a.reshape(-1, A.shape[1] // qk[p]),
+                b.reshape(-1, B.shape[1] // qk[p]), counter, p)
+            block = _fix_digit(C, qi, qj, p, i, j)
+            block -= sub.reshape(block.shape)
+    return C
+
+
+def _count_variance(counts, sizes_x, sizes_y) -> np.ndarray:
+    """Exact realized-size variance of a unit-coefficient subset-of-matmul
+    plan: V = outer(sizes_x, sizes_y) * (K_1 kron ... kron K_L), K_l[i, j]
+    the k slots level l keeps at (i, j).  The Kronecker factors are split
+    in two halves, so no m x m array is built besides V."""
+    h = len(counts) // 2
+    KA = reduce(np.kron, counts[:h], np.ones((1, 1)))
+    KB = reduce(np.kron, counts[h:], np.ones((1, 1)))
+    (a, a2), (b, b2) = KA.shape, KB.shape
+    rows = sizes_x.reshape(a, b, 1, 1) * KA.reshape(a, 1, a2, 1)
+    cols = sizes_y.reshape(1, 1, a2, b2) * KB.reshape(1, b, 1, b2)
+    return (rows * cols).reshape(a * b, a2 * b2)
 
 
 def _variance_map(weights, sizes_x, sizes_y) -> np.ndarray:

@@ -133,6 +133,19 @@ class TestCli:
         rep = json.loads(out)
         assert code == 0 and rep["planted_recovered"]
 
+    def test_solve_reports_planned_and_executed_multiplies(self, capsys):
+        """The plan echo sets the paper's prod(rank_l) next to the
+        multiplies the kernel executes each round: 6^L against 9^L for sw."""
+        code = cli_main(["solve", "--tensor", "sw", "--n", "128", "--d", "256",
+                         "--rho", "1.0", "--seed", "3"])
+        rep = json.loads(capsys.readouterr().out)
+        plan = rep["plan"]
+        L = plan["m"].bit_length() - 1
+        assert code == 0 and plan["kernel"] == "masked_matmul"
+        assert plan["rank_product"] == 6 ** L
+        assert plan["multiplies_per_round"] == 9 ** L
+        assert rep["multiply_count"] == rep["rounds"] * 9 ** L
+
     @pytest.mark.parametrize("lsh", [[], ["--lsh"]])
     def test_solve_refuses_qary_file(self, tmp_path, capsys, lsh):
         path = str(tmp_path / "q4.bin")
@@ -207,7 +220,16 @@ class TestCli:
          "lumen exponent: rho must lie in [0, 1]"),
         (["design-q", "--rho", "0"], "lumen design-q: P must not be uniform"),
         (["success-curve", "--tensor", "strassen", "--n", "64", "--seeds", "1",
-          "--reps", "0"], "lumen success-curve: reps = 0 is below 1")])
+          "--reps", "0"], "lumen success-curve: reps = 0 is below 1"),
+        (["success-curve", "--tensor", "strassen", "--n", "64", "--seeds", "1",
+          "--rho", "0.8", "1.5"],
+         "lumen success-curve: rho = 1.5 must lie in [0, 1]"),
+        (["lemma-check", "--seed", "-1"],
+         "lumen lemma-check: seed = -1 is negative"),
+        (["solve", "--n", "64", "--d", "512", "--seed", "-1"],
+         "lumen solve: seed = -1 is negative"),
+        (["gen", "x.bin", "--n", "64", "--d", "128", "--rho", "0.5",
+          "--seed", "-2"], "lumen gen: seed = -2 is negative")])
     def test_infeasible_input_exits_2(self, tmp_path, monkeypatch, capsys,
                                       argv, why):
         monkeypatch.chdir(tmp_path)

@@ -175,11 +175,11 @@ class TestMapToPm1:
         # independent with one uniform marginal: zero correlation
         b0 = rng.integers(0, 2, n)
         b1 = rng.integers(0, 2, n)
-        prod = m.apply_x(b0) * m.apply_y(b1)
+        prod = m.g[b0] * m.h[b1]
         assert abs(prod.mean()) < 3.0 / math.sqrt(n)
         # jointly sampled by P: correlation rho_out
         flat = rng.choice(4, size=n, p=P.ravel())
-        prod = m.apply_x(flat // 2) * m.apply_y(flat % 2)
+        prod = m.g[flat // 2] * m.h[flat % 2]
         assert abs(prod.mean() - m.rho_out) < 3.0 / math.sqrt(n)
 
     def test_odd_q_refused(self):

@@ -18,9 +18,10 @@ from lumen.solver import (BucketState, PlanError, bucket_uniform, detect,
                           lemma_checks, plan_lsh, plan_uniform, skew_metrics,
                           solve_lsh, solve_uniform, verify_candidates,
                           verify_threshold,
-                          _apply_subset_diag, _bucket_state, _build_detector,
+                          _apply_masked_matmul, _apply_subset_diag,
+                          _bucket_state, _build_detector, _count_variance,
                           _dedupe_rows, _lsh_memberships, _pair_weight_matrix,
-                          _threshold_choice, _variance_map)
+                          _threshold_choice, _unit_mask, _variance_map)
 from lumen.zoo import (matmul_tensor, strassen_decomposition,
                        sw_decomposition, t2112_decomposition)
 
@@ -79,7 +80,8 @@ class TestPlanUniform:
         want = exponent_bound(7, math.sqrt(2) * 2)
         assert abs(p.exponent - want) < 1e-9
         assert abs(p.exponent - exponent_bound(7, math.sqrt(8))) < 1e-9
-        assert p.kernel == "matmul"
+        assert p.kernel == "masked_matmul"
+        assert p.detector.missing == ((),) * p.N
 
     def test_skewed_tensor_symmetrizes(self):
         # efficacy concentrated in one row: V_x = |S|^2 > |S|^1.5
@@ -326,10 +328,139 @@ class TestSubsetDiagKernel:
                                              dtype=np.float64))
 
 
+def _integer_operands(det, seed, top=4):
+    rng = np.random.default_rng(seed)
+    A = rng.integers(-top, top + 1, (det.m, det.d_prime)).astype(np.float32)
+    B = rng.integers(-top, top + 1, (det.m, det.d_prime)).astype(np.float32)
+    return A, B
+
+
+def _masked_levels(name, n):
+    sw = sw_decomposition()
+    return {"sw": [sw] * n,
+            "sw-reflected": [sw, reflect_decomposition(sw)] * n,
+            "strassen": [strassen_decomposition()] * n}[name]
+
+
+class TestMaskedMatmulKernel:
+    @pytest.mark.parametrize("name, n", [
+        *(("sw", L) for L in range(1, 9)),
+        *(("sw-reflected", k) for k in range(1, 5))])
+    def test_integer_operands_exact_and_count(self, name, n):
+        """Bucket sums are small integers, so the kernel's float32 sums are
+        exact: C must equal the float64 rank recursion bit for bit, and it
+        runs prod(q_i q_k q_j + |E_l|) = 9^L multiplies."""
+        det = _build_detector(_masked_levels(name, n))
+        assert det.kind == "masked_matmul"
+        assert all(len(E) == 1 for E in det.missing)
+        A, B = _integer_operands(det, det.m + n)
+        counter = MultiplyCounter()
+        C = det.apply(A, B, counter=counter)
+        assert C.dtype == np.float32
+        assert np.array_equal(C, apply_power(det.levels, A, B,
+                                             dtype=np.float64))
+        want = math.prod(d.shape.q_i * d.shape.q_k * d.shape.q_j + len(E)
+                         for d, E in zip(det.levels, det.missing))
+        assert counter.count == det.multiplies == want == 9 ** len(det.levels)
+        assert det.rank_product == 6 ** len(det.levels)
+
+    @pytest.mark.parametrize("L", (1, 2, 3, 5))
+    def test_matmul_is_one_blas_product(self, L):
+        """With no omitted slot the kernel is exactly A @ B.T, byte for byte,
+        at m d' m multiplies."""
+        det = _build_detector(_masked_levels("strassen", L))
+        assert det.kind == "masked_matmul" and det.missing == ((),) * L
+        rng = np.random.default_rng(L)
+        A = rng.standard_normal((det.m, det.d_prime)).astype(np.float32)
+        B = rng.standard_normal((det.m, det.d_prime)).astype(np.float32)
+        counter = MultiplyCounter()
+        C = det.apply(A, B, counter=counter)
+        assert C.tobytes() == (A @ B.T).tobytes()
+        assert counter.count == det.multiplies == det.m ** 2 * det.d_prime
+        assert det.rank_product == 7 ** L
+
+    @pytest.mark.parametrize("L", (2, 4, 6))
+    def test_several_omitted_slots_per_level(self, L):
+        """The t2112 surrogate omits two slots a level; run through this
+        kernel it matches the float64 rank recursion and runs 10^L."""
+        det = _build_detector([t2112()] * L)
+        M = _unit_mask(tensor_of_decomposition(det.levels[0]))
+        missing = tuple(map(tuple, np.argwhere(M == 0)))
+        assert len(missing) == 2
+        A, B = _integer_operands(det, L)
+        counter = MultiplyCounter()
+        C = _apply_masked_matmul([d.shape for d in det.levels],
+                                 [missing] * L, A, B, counter=counter)
+        assert np.array_equal(C, apply_power(det.levels, A, B,
+                                             dtype=np.float64))
+        assert counter.count == 10 ** L
+
+    @pytest.mark.parametrize("name, n", [("sw", 6), ("sw-reflected", 3)])
+    def test_exact_up_to_the_single_product_bound(self, name, n):
+        """Every partial sum of a cell is a sum of A B products over a set
+        of K, so C is exact in float32 while sum_K |A B| < 2^24, the bound
+        of one float32 A @ B.T, at any level count."""
+        det = _build_detector(_masked_levels(name, n))
+        top = math.isqrt(2 ** 24 // det.d_prime) - 1
+        A, B = _integer_operands(det, n, top)
+        # cell (0, 0) omits a slot at every level: its terms' sums reach
+        # nearly 2^24 while C[0, 0] itself is one product
+        A[0], B[0] = top, -top
+        assert 2 ** 23 < det.d_prime * top ** 2 < 2 ** 24
+        C = det.apply(A, B)
+        assert np.array_equal(C, apply_power(det.levels, A, B,
+                                             dtype=np.float64))
+
+
+def _count_variance_cases():
+    sw, t = sw_decomposition(), t2112()
+    cases = {f"sw-L{L}": [sw] * L for L in (1, 2, 3, 6)}
+    cases["sw-reflected-L4"] = [sw, reflect_decomposition(sw)] * 2
+    cases["strassen-L3"] = [strassen_decomposition()] * 3
+    cases["t2112-L4"] = [t] * 4
+    cases["t2112-reflected-L4"] = [t, reflect_decomposition(t)] * 2
+    return cases
+
+
+class TestCountVariance:
+    @pytest.mark.parametrize("name", list(_count_variance_cases()))
+    def test_equals_the_variance_sweep(self, name):
+        """The closed form outer(sizes) * kron(K_l) equals the pair-weight
+        sweep on the same executable levels, bit for bit."""
+        det = _build_detector(_count_variance_cases()[name])
+        assert det.kind in ("masked_matmul", "subset_diag")
+        rng = np.random.default_rng(det.m)
+        sizes_x = rng.integers(0, 9, size=det.m)
+        sizes_y = rng.integers(0, 9, size=det.m)
+        weights = tuple(_pair_weight_matrix(tensor_of_decomposition(d)).T
+                        for d in det.levels)
+        V = det.variance(sizes_x, sizes_y)
+        assert V.dtype == np.float64
+        assert np.array_equal(V, _variance_map(weights, sizes_x, sizes_y))
+
+    def test_counts_per_level(self):
+        """sw keeps one k slot at output (0, 0) and two elsewhere, the t2112
+        surrogate one at each off cell, matmul two everywhere; all-2 counts
+        give the former matmul variance outer(sizes) * d'."""
+        sw, t = sw_decomposition(), t2112()
+        assert np.array_equal(
+            _build_detector([sw, reflect_decomposition(sw)]).counts,
+            [[[1, 2], [2, 2]]] * 2)
+        det = _build_detector([t, reflect_decomposition(t)] * 2)
+        assert np.array_equal(det.counts, [[[2, 1], [1, 2]]] * 4)
+        assert np.array_equal(
+            _build_detector([strassen_decomposition()] * 2).counts,
+            np.full((2, 2, 2), 2))
+        V = _count_variance(((np.full((2, 2), 2.0)),) * 3,
+                            np.arange(8), np.arange(8) + 1)
+        assert np.array_equal(V, np.outer(np.arange(8), np.arange(8) + 1)
+                              * 8.0)
+
+
 class TestDetector:
     @pytest.mark.parametrize("name, lsh, kind", [
-        ("t2112", False, "subset_diag"), ("strassen", False, "matmul"),
-        ("sw", True, "sweep")])
+        ("t2112", False, "subset_diag"), ("strassen", False, "masked_matmul"),
+        ("sw", True, "masked_matmul")])
     def test_built_once(self, monkeypatch, name, lsh, kind):
         """Planning builds the detector, one executable level per distinct
         planned level; solving rounds never expand a decomposition again.
