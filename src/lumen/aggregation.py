@@ -1,5 +1,5 @@
-"""Bucket aggregation: summing groups of expanded +-1 vectors, naively and via
-one half-expansion matrix product per group.
+"""The paper's bucket aggregation reference: summing groups of expanded +-1
+vectors, naively and via one half-expansion matrix product per group.
 
 The fast route builds M1 (m1 x g) of first-half subset products and M2
 (g x m2) of second-half products; their product enumerates every (S1, S2)
@@ -20,7 +20,6 @@ __all__ = [
     "AggregateResult",
     "aggregate_naive",
     "aggregate_fast",
-    "bucket_aggregate",
     "bench_aggregation",
 ]
 
@@ -94,26 +93,6 @@ def aggregate_fast(task: AggregationTask) -> AggregateResult:
     mults = M1.shape[0] * m2 * g
     idx = fam.window(task.m, 0)
     return AggregateResult(full.ravel()[idx], mults)
-
-
-def bucket_aggregate(expanded_bits: np.ndarray, memberships: np.ndarray,
-                     m_buckets: int) -> np.ndarray:
-    """Sum expanded +-1 rows into buckets.
-
-    memberships: integer array (n, t) of bucket ids per input (duplicates
-    within a row already collapsed to a sentinel of -1); any other shape
-    raises ValueError.  Returns the m_buckets x d float32 aggregate matrix.
-    """
-    n, d = expanded_bits.shape
-    if memberships.ndim != 2 or memberships.shape[0] != n:
-        raise ValueError(f"memberships {memberships.shape} are not {n} x t")
-    signs = (1.0 - 2.0 * expanded_bits).astype(np.float32)
-    out = np.zeros((m_buckets, d), dtype=np.float32)
-    for c in range(memberships.shape[1]):
-        col = memberships[:, c]
-        ok = col >= 0
-        np.add.at(out, col[ok], signs[ok])
-    return out
 
 
 def bench_aggregation(g_values=(1, 4, 16, 64, 256), d: int = 24, r: int = 4,

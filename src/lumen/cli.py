@@ -16,13 +16,17 @@ from .efficacy import (DesignerError, design_q_matrices, eff_table,
                        rho_joint_matrix, t2112_flip_pair)
 from .harness import cmd_exponents, cmd_success_curve, cmd_verify
 from .instances import gen_planted, read_instance, write_instance
-from .solver import (PlanError, _check_run_options, lemma_checks, plan_lsh,
-                     plan_uniform, solve_lsh, solve_uniform, verify_threshold)
+from .solver import (PlanError, lemma_checks, plan_lsh, plan_uniform,
+                     solve_lsh, solve_uniform, verify_threshold)
 from .aggregation import bench_aggregation
 
 
 class _BadArgument(Exception):
     """An argument the command cannot run with: one line on stderr, exit 2."""
+
+
+class _BadPath(_BadArgument):
+    """A file the command cannot read, use or write: '<path>: <reason>'."""
 
 
 def _from_args(make, *args):
@@ -38,6 +42,15 @@ def _check_seed(seed: int):
     """numpy seeds are non-negative integers."""
     if seed < 0:
         raise _BadArgument(f"seed = {seed} is negative")
+
+
+def _check_writable(path):
+    """Create an output file before the work, so a bad path ends in one line."""
+    if path:
+        try:
+            open(path, "a").close()
+        except OSError as e:
+            raise _BadPath(f"{path}: {e.strerror}") from e
 
 
 def _check_rho(rho: float):
@@ -134,8 +147,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _run(args)
-    except _BadArgument as e:
-        print(f"lumen {args.cmd}: {e}", file=sys.stderr)
+    except (_BadArgument, PlanError) as e:
+        print(e if isinstance(e, _BadPath) else f"lumen {args.cmd}: {e}",
+              file=sys.stderr)
         return 2
 
 
@@ -193,6 +207,7 @@ def _run(args) -> int:
         return 0
 
     if args.cmd == "exponents":
+        _check_writable(args.out)
         text = cmd_exponents(np.linspace(0, 1, args.points), out=args.out)
         if not args.out:
             print(text, end="")
@@ -200,17 +215,10 @@ def _run(args) -> int:
 
     if args.cmd == "gen":
         _check_seed(args.seed)
-        try:
-            inst = gen_planted(args.n, args.d, args.rho, args.seed,
-                               planted=not args.null)
-        except ValueError as e:
-            print(f"lumen gen: {e}", file=sys.stderr)
-            return 2
-        try:
-            write_instance(args.path, inst)
-        except OSError as e:
-            print(f"{args.path}: {e.strerror}", file=sys.stderr)
-            return 2
+        inst = _from_args(gen_planted, args.n, args.d, args.rho, args.seed,
+                          not args.null)
+        _check_writable(args.path)
+        write_instance(args.path, inst)
         print(f"wrote {args.path} (n={args.n} d={args.d} rho={args.rho})")
         return 0
 
@@ -221,13 +229,12 @@ def _run(args) -> int:
             if args.path:
                 inst = read_instance(args.path, load_sidecar=True)
                 if inst.q != 2:
-                    print(f"{args.path}: the solvers need a q=2 instance, "
-                          f"this one has q={inst.q}", file=sys.stderr)
-                    return 2
+                    raise _BadPath(f"{args.path}: the solvers need a q=2 "
+                                   f"instance, this one has q={inst.q}")
                 if inst.rho is None:
-                    print(f"{args.path}: the solvers need a scalar rho, this "
-                          f"instance has only a joint matrix P", file=sys.stderr)
-                    return 2
+                    raise _BadPath(f"{args.path}: the solvers need a scalar "
+                                   f"rho, this instance has only a joint "
+                                   f"matrix P")
             else:
                 inst = gen_planted(args.n, args.d, args.rho, args.seed)
             t0 = time.perf_counter()
@@ -239,11 +246,10 @@ def _run(args) -> int:
                 plan = plan_uniform(inst.n, inst.rho, decomp, d=inst.d,
                                     reps=args.reps, detect_sigma=args.sigma)
         except OSError as e:
-            print(f"{args.path}: {e.strerror}", file=sys.stderr)
-            return 2
-        except (PlanError, ValueError) as e:
-            print(f"lumen solve: {e}", file=sys.stderr)
-            return 2
+            raise _BadPath(f"{args.path}: {e.strerror}") from e
+        except ValueError as e:
+            raise _BadArgument(e) from e
+        _check_writable(args.json_out)
         counter = MultiplyCounter()
         solve = solve_lsh if args.lsh else solve_uniform
         rep = solve(inst, decomp, plan=plan, seed=args.seed, counter=counter)
@@ -292,11 +298,9 @@ def _run(args) -> int:
                 with open(args.decomp_file) as f:
                     d = decomposition_from_text(f.read())
             except OSError as e:
-                print(f"{args.decomp_file}: {e.strerror}", file=sys.stderr)
-                return 2
+                raise _BadPath(f"{args.decomp_file}: {e.strerror}") from e
             except ValueError as e:
-                print(f"{args.decomp_file}: {e}", file=sys.stderr)
-                return 2
+                raise _BadPath(f"{args.decomp_file}: {e}") from e
             if not args.against:
                 print("loaded: rank", d.rank, "shape",
                       (d.shape.q_i, d.shape.q_j, d.shape.q_k))
@@ -349,10 +353,9 @@ def _run(args) -> int:
         return 0 if rep["pass"] else 1
 
     if args.cmd == "success-curve":
-        _from_args(zoo.zoo_decomposition, args.tensor, args.eps)
-        _from_args(_check_run_options, args.reps, None)
         for rho in args.rho:
             _check_rho(rho)
+        _check_writable(args.out)
         rows, text = cmd_success_curve(
             args.tensor, args.n, args.rho, seeds=args.seeds, eps=args.eps,
             reps=args.reps, lsh=args.lsh, null=args.null, jobs=args.jobs,

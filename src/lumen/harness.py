@@ -7,7 +7,6 @@ import csv
 import io
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -17,7 +16,8 @@ from .core import (MultiplyCounter, apply_direct, apply_power,
 from .efficacy import (dubiner_exponent, eff_table, exponent_bound,
                        omega_rho_t2112, rho_joint_matrix, t2112_flip_pair)
 from .instances import gen_planted
-from .solver import lemma_checks, plan_lsh, plan_uniform, solve_lsh, solve_uniform
+from .solver import (PlanError, lemma_checks, plan_lsh, plan_uniform,
+                     solve_lsh, solve_uniform)
 from . import zoo
 
 __all__ = [
@@ -96,26 +96,14 @@ def cmd_exponents(rhos=None, out=None) -> str:
 # ---------------------------------------------------------------------------
 
 def _one_solve(args):
-    (tensor, eps, n, d, rho, seed, reps, lsh, null) = args
-    decomp = zoo.zoo_decomposition(tensor, eps)
+    """(success, rounds run, multiplies) of one seed's solve under plan."""
+    decomp, n, d, rho, seed, null, plan = args
     inst = gen_planted(n, d, rho, seed=seed, planted=not null)
     counter = MultiplyCounter()
-    t0 = time.perf_counter()
-    if lsh:
-        plan = plan_lsh(n, rho_joint_matrix(rho), decomp,
-                        t2112_flip_pair(rho), d=d, reps=reps)
-        rep = solve_lsh(inst, decomp, plan=plan, seed=seed, counter=counter)
-    else:
-        plan = plan_uniform(n, rho, decomp, d=d, reps=reps)
-        rep = solve_uniform(inst, decomp, plan=plan, seed=seed, counter=counter)
-    wall = time.perf_counter() - t0
-    if null:
-        success = not rep.found
-    else:
-        success = inst.planted() in rep.candidates
-    return {"tensor": tensor, "eps": eps, "rho": rho, "n": n, "N": plan.N,
-            "g": plan.g, "seed": seed, "success": success, "wall": wall,
-            "rounds": rep.rounds_run, "mult": counter.count}
+    solve = solve_lsh if plan.lsh else solve_uniform
+    rep = solve(inst, decomp, plan=plan, seed=seed, counter=counter)
+    success = not rep.found if null else inst.planted() in rep.candidates
+    return success, rep.rounds_run, counter.count
 
 
 def cmd_success_curve(tensor: str, n_list, rho_list, seeds: int = 20,
@@ -123,35 +111,40 @@ def cmd_success_curve(tensor: str, n_list, rho_list, seeds: int = 20,
                       reps: int | None = None, lsh: bool = False, null: bool = False,
                       jobs: int | None = None, out=None):
     """Per-(n, rho) success rates with Wilson intervals, optionally parallel
-    over grid cells."""
+    over grid cells.  Every cell is planned once, before any solve; a cell
+    that no plan can run raises PlanError."""
     jobs = jobs or default_jobs()
-    tasks = []
-    for n in n_list:
-        dd = d if d is not None else max(64, n // 2)
-        for rho in rho_list:
-            for s in range(seeds):
-                tasks.append((tensor, eps, n, dd, rho, 10_000 + s, reps,
-                              lsh, null))
+    cells = []
+    try:
+        decomp = zoo.zoo_decomposition(tensor, eps)
+        for n in sorted(set(n_list)):
+            dd = d if d is not None else max(64, n // 2)
+            for rho in sorted(set(rho_list)):
+                cells.append((n, rho, dd, plan_lsh(
+                    n, rho_joint_matrix(rho), decomp, t2112_flip_pair(rho),
+                    d=dd, reps=reps) if lsh
+                    else plan_uniform(n, rho, decomp, d=dd, reps=reps)))
+    except ValueError as e:
+        raise PlanError(e.args[0]) from e
+    tasks = [(decomp, n, dd, rho, 10_000 + s, null, plan)
+             for n, rho, dd, plan in cells for s in range(seeds)]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             results = list(ex.map(_one_solve, tasks, chunksize=1))
     else:
         results = [_one_solve(t) for t in tasks]
-    cells = {}
-    for r in results:
-        key = (r["n"], r["rho"])
-        cells.setdefault(key, []).append(r)
     rows = []
-    for (n, rho), rs in sorted(cells.items()):
-        wins = sum(r["success"] for r in rs)
+    for k, (n, rho, _, plan) in enumerate(cells if seeds > 0 else ()):
+        rs = results[k * seeds:(k + 1) * seeds]
+        wins = sum(r[0] for r in rs)
         lo, hi = wilson_interval(wins, len(rs))
         rows.append({
             "tensor": tensor, "eps": eps, "rho": rho, "n": n,
-            "N": rs[0]["N"], "g": rs[0]["g"], "seeds": len(rs),
+            "N": plan.N, "g": plan.g, "seeds": len(rs),
             "successes": wins, "rate": wins / len(rs),
             "wilson_lo": lo, "wilson_hi": hi,
-            "mean_rounds": float(np.mean([r["rounds"] for r in rs])),
-            "multiply_count": int(np.mean([r["mult"] for r in rs])),
+            "mean_rounds": float(np.mean([r[1] for r in rs])),
+            "multiply_count": int(np.mean([r[2] for r in rs])),
         })
     return rows, _write_csv(rows, SUCCESS_HEADER, out)
 

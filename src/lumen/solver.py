@@ -50,7 +50,6 @@ from .efficacy import (StochasticPair, eff_table, exponent_bound, gamma,
                        typeclass_capacity)
 from .instances import (Instance, SplitFamily, default_subset_size,
                         expand_vectors, map_to_pm1, pack_bits, packed_inner)
-from .aggregation import bucket_aggregate
 
 __all__ = [
     "SolverPlan",
@@ -188,8 +187,8 @@ class SolverPlan:
 class BucketState:
     mem_x: np.ndarray            # n x t sorted bucket ids, -1 where a repeat collapsed
     mem_y: np.ndarray
-    sizes_x: np.ndarray          # realized |X_i|
-    sizes_y: np.ndarray
+    index_x: tuple               # (rows, starts): bucket i holds rows[starts[i]:starts[i + 1]]
+    index_y: tuple
     agg_x: np.ndarray            # m x d' aggregates (before sign flips)
     agg_y: np.ndarray
     signs_x: np.ndarray          # +-1 per bucket row
@@ -738,9 +737,28 @@ def _dedupe_rows(mem: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bucket_sizes(mem: np.ndarray, m: int) -> np.ndarray:
-    valid = mem[mem >= 0]
-    return np.bincount(valid, minlength=m).astype(np.int64)
+def _bucket_index(mem: np.ndarray, m: int):
+    """(rows, starts) of deduplicated memberships from one stable argsort:
+    the member rows bucket by bucket, ascending within each, and the m + 1
+    offsets where each bucket begins."""
+    order = np.argsort(mem.ravel(), kind="stable")[np.count_nonzero(mem < 0):]
+    return (order // mem.shape[1],
+            np.searchsorted(mem.ravel()[order], np.arange(m + 1)))
+
+
+def bucket_aggregate(expanded_bits: np.ndarray, rows: np.ndarray,
+                     starts: np.ndarray) -> np.ndarray:
+    """The m x d' float32 sums of each bucket's expanded +-1 rows: its size
+    minus twice its count of one bits.  reduceat gives an empty segment an
+    element, not 0, so only the non-empty buckets go through it."""
+    sizes = np.diff(starts)
+    full = np.flatnonzero(sizes)
+    out = np.zeros((sizes.size, expanded_bits.shape[1]), dtype=np.float32)
+    out[full] = np.add.reduceat(expanded_bits[rows], starts[full], axis=0,
+                                dtype=np.int32)
+    out *= -2
+    out += sizes[:, None]
+    return out
 
 
 def bucket_uniform(instance: Instance, plan: SolverPlan, seed,
@@ -759,19 +777,19 @@ def bucket_uniform(instance: Instance, plan: SolverPlan, seed,
 
 def _bucket_state(bits_x, bits_y, mem_x, mem_y, plan: SolverPlan,
                   offset: int, rng) -> BucketState:
-    """Shared tail of both bucketers: collapse duplicate ids, aggregate the
-    expanded window at offset, and draw one random sign per bucket row."""
+    """Shared tail of both bucketers: collapse duplicate ids, index and sum
+    each side's buckets at window offset, and draw one sign per bucket row."""
     m = plan.m
     mem_x = _dedupe_rows(mem_x)
     mem_y = _dedupe_rows(mem_y)
+    index_x, index_y = _bucket_index(mem_x, m), _bucket_index(mem_y, m)
     ex = expand_vectors(bits_x, plan.r, plan.d_prime, offset)
     ey = expand_vectors(bits_y, plan.r, plan.d_prime, offset)
-    agg_x = bucket_aggregate(ex, mem_x, m)
-    agg_y = bucket_aggregate(ey, mem_y, m)
+    agg_x = bucket_aggregate(ex, *index_x)
+    agg_y = bucket_aggregate(ey, *index_y)
     signs_x = (1.0 - 2.0 * rng.integers(0, 2, size=m)).astype(np.float32)
     signs_y = (1.0 - 2.0 * rng.integers(0, 2, size=m)).astype(np.float32)
-    return BucketState(mem_x, mem_y, _bucket_sizes(mem_x, m),
-                       _bucket_sizes(mem_y, m), agg_x, agg_y,
+    return BucketState(mem_x, mem_y, index_x, index_y, agg_x, agg_y,
                        signs_x, signs_y)
 
 
@@ -786,7 +804,8 @@ def detect(state: BucketState, plan: SolverPlan,
     A = state.agg_x * state.signs_x[:, None]
     B = state.agg_y * state.signs_y[:, None]
     C = plan.detector.apply(A, B, counter=counter)
-    V = plan.detector.variance(state.sizes_x, state.sizes_y)
+    V = plan.detector.variance(np.diff(state.index_x[1]),
+                               np.diff(state.index_y[1]))
     with np.errstate(divide="ignore", invalid="ignore"):
         score = np.abs(C) / np.sqrt(V)
     score[~np.isfinite(score)] = 0.0
@@ -797,28 +816,32 @@ def detect(state: BucketState, plan: SolverPlan,
     return flags
 
 
-def verify_candidates(instance: Instance, pairs, plan: SolverPlan,
+def verify_candidates(instance: Instance, keys, plan: SolverPlan,
                       words_x: np.ndarray, words_y: np.ndarray):
-    """The distinct pairs, sorted, whose +-1 inner product over all d bits
-    reaches verify_threshold(d, plan.reps); words_x / words_y are the
-    pack_bits words of the bits (sign-mapped on the hashing path)."""
-    uniq = sorted(set(pairs))
-    ai, bj = np.array(uniq, dtype=np.intp).reshape(-1, 2).T
+    """The distinct pairs (a, b) of the keys a * n + b, sorted, whose +-1
+    inner product over all d bits reaches verify_threshold(d, plan.reps);
+    words_x / words_y pack the bits, sign-flipped on the hashing path."""
+    ai, bj = np.divmod(np.unique(np.asarray(keys, dtype=np.int64)),
+                       instance.n)
     inner = packed_inner(words_x[ai], words_y[bj], instance.d)
-    tau = verify_threshold(instance.d, plan.reps)
-    return [p for p, s in zip(uniq, inner) if s >= tau]
+    ok = inner >= verify_threshold(instance.d, plan.reps)
+    return list(zip(ai[ok].tolist(), bj[ok].tolist()))
 
 
 def _collect_candidates(state: BucketState, flags):
-    """Member pairs of each flagged bucket pair, in flag order."""
-    pairs = []
+    """Keys a * n + b of the member pairs (a, b) of each flagged bucket
+    pair, in flag order; stops past CAP_PAIRS."""
+    n = state.mem_x.shape[0]
+    (rows_x, starts_x), (rows_y, starts_y) = state.index_x, state.index_y
+    keys, total = [np.zeros(0, dtype=np.int64)], 0
     for i, j, _ in flags:
-        mx = np.nonzero((state.mem_x == i).any(axis=1))[0]
-        my = np.nonzero((state.mem_y == j).any(axis=1))[0]
-        pairs += [(int(a), int(b)) for a in mx for b in my]
-        if len(pairs) > CAP_PAIRS:
+        mx = rows_x[starts_x[i]:starts_x[i + 1]]
+        my = rows_y[starts_y[j]:starts_y[j + 1]]
+        keys.append((mx[:, None] * n + my).ravel())
+        total += keys[-1].size
+        if total > CAP_PAIRS:
             break
-    return pairs
+    return np.concatenate(keys)
 
 
 def _run_rounds(instance: Instance, plan: SolverPlan, seed: int, stream: int,

@@ -1,14 +1,14 @@
 """Aggregation: naive vs fast equality, bounds, operation counts, crossover."""
 
 import itertools
-import re
 
 import numpy as np
 import pytest
 
 from lumen.aggregation import (AggregationTask, aggregate_fast, aggregate_naive,
-                               bench_aggregation, bucket_aggregate)
+                               bench_aggregation)
 from lumen.instances import SplitFamily, expand_vectors
+from lumen.solver import _bucket_index, _dedupe_rows, bucket_aggregate
 
 
 def brute_force_oracle(vectors_bits, r, m):
@@ -94,24 +94,22 @@ class TestBench:
 
 class TestBucketAggregate:
     def test_scatter_matches_dense_sum(self):
+        """The index sums equal a per-copy np.add.at scatter at t = 1, 2, 3,
+        with repeats collapsed to -1 and buckets left empty."""
         rng = np.random.default_rng(4)
-        n, d, m, t = 50, 32, 8, 2
+        n, d, m = 50, 32, 64
         bits = rng.integers(0, 2, size=(n, d), dtype=np.uint8)
-        mem = rng.integers(0, m, size=(n, t))
-        mem[3, 1] = -1   # collapsed duplicate marker
-        out = bucket_aggregate(bits, mem, m)
-        signs = 1.0 - 2.0 * bits
-        want = np.zeros((m, d))
-        for i in range(n):
+        signs = (1.0 - 2.0 * bits).astype(np.float32)
+        for t in (1, 2, 3):
+            # ids in 1..39 leave bucket 0 and buckets 40..63 empty; row 0
+            # repeats its first id in every copy
+            ids = rng.integers(1, 40, size=(n, t))
+            ids[0] = ids[0, 0]
+            mem = _dedupe_rows(ids)
+            assert (mem < 0).sum() >= t - 1
+            want = np.zeros((m, d), dtype=np.float32)
             for c in range(t):
-                if mem[i, c] >= 0:
-                    want[mem[i, c]] += signs[i]
-        assert np.allclose(out, want)
-
-    @pytest.mark.parametrize("shape", [(50,), (49, 2)])
-    def test_memberships_not_n_by_t_refused(self, shape):
-        bits = np.zeros((50, 32), dtype=np.uint8)
-        mem = np.zeros(shape, dtype=np.int64)
-        with pytest.raises(ValueError, match=re.escape(
-                f"memberships {shape} are not 50 x t")):
-            bucket_aggregate(bits, mem, 8)
+                ok = mem[:, c] >= 0
+                np.add.at(want, mem[ok, c], signs[ok])
+            out = bucket_aggregate(bits, *_bucket_index(mem, m))
+            assert out.dtype == np.float32 and np.array_equal(out, want)

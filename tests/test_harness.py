@@ -229,7 +229,16 @@ class TestCli:
         (["solve", "--n", "64", "--d", "512", "--seed", "-1"],
          "lumen solve: seed = -1 is negative"),
         (["gen", "x.bin", "--n", "64", "--d", "128", "--rho", "0.5",
-          "--seed", "-2"], "lumen gen: seed = -2 is negative")])
+          "--seed", "-2"], "lumen gen: seed = -2 is negative"),
+        (["success-curve", "--tensor", "strassen", "--n", "64", "--seeds", "1",
+          "--rho", "0.1"], "lumen success-curve: rho * d = 6.4 is below the "
+                           "verification threshold 53.5"),
+        (["exponents", "--points", "3", "--out", "nodir/x.csv"],
+         "nodir/x.csv: No such file or directory"),
+        (["success-curve", "--tensor", "strassen", "--n", "64", "--seeds", "1",
+          "--out", "nodir/x.csv"], "nodir/x.csv: No such file or directory"),
+        (["solve", "--n", "64", "--d", "512", "--tensor", "strassen",
+          "--json", "nodir/o.json"], "nodir/o.json: No such file or directory")])
     def test_infeasible_input_exits_2(self, tmp_path, monkeypatch, capsys,
                                       argv, why):
         monkeypatch.chdir(tmp_path)

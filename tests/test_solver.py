@@ -19,8 +19,9 @@ from lumen.solver import (BucketState, PlanError, bucket_uniform, detect,
                           solve_lsh, solve_uniform, verify_candidates,
                           verify_threshold,
                           _apply_masked_matmul, _apply_subset_diag,
-                          _bucket_state, _build_detector, _count_variance,
-                          _dedupe_rows, _lsh_memberships, _pair_weight_matrix,
+                          _bucket_index, _bucket_state, _build_detector,
+                          _collect_candidates, _count_variance, _dedupe_rows,
+                          _lsh_memberships, _pair_weight_matrix,
                           _threshold_choice, _unit_mask, _variance_map)
 from lumen.zoo import (matmul_tensor, strassen_decomposition,
                        sw_decomposition, t2112_decomposition)
@@ -149,10 +150,11 @@ class TestBucketUniform:
         n_members = (st.mem_x >= 0).sum()
         dups = st.mem_x.size - n_members
         assert n_members == 512 * plan.t - dups
-        assert st.sizes_x.sum() == n_members
+        sizes = np.diff(st.index_x[1])
+        assert sizes.sum() == st.index_x[0].size == n_members
         # mean occupancy within 3 sigma of n t / m
         lam = 512 * plan.t / plan.m
-        assert abs(st.sizes_x.mean() - lam) < 3 * math.sqrt(lam / plan.m)
+        assert abs(sizes.mean() - lam) < 3 * math.sqrt(lam / plan.m)
 
     def test_forced_planting(self):
         inst = gen_planted(128, 256, 0.9, seed=3)
@@ -172,8 +174,9 @@ class TestDetect:
     def test_zero_aggregates_no_flags(self):
         plan = plan_uniform(128, 0.9, strassen_decomposition(), d=256)
         m, dp = plan.m, plan.d_prime
+        one_each = (np.arange(m), np.arange(m + 1))
         st = BucketState(np.zeros((1, 1), int), np.zeros((1, 1), int),
-                         np.ones(m, int), np.ones(m, int),
+                         one_each, one_each,
                          np.zeros((m, dp), np.float32),
                          np.zeros((m, dp), np.float32),
                          np.ones(m, np.float32), np.ones(m, np.float32))
@@ -268,7 +271,7 @@ class TestDetect:
         plan_r.detect_sigma = plan.detect_sigma
         st = bucket_uniform(inst, plan, np.random.default_rng(3000))
         # swapped state: exchange the two sides
-        st_sw = BucketState(st.mem_y, st.mem_x, st.sizes_y, st.sizes_x,
+        st_sw = BucketState(st.mem_y, st.mem_x, st.index_y, st.index_x,
                             st.agg_y, st.agg_x, st.signs_y, st.signs_x)
         _, score, C, V = detect(st, plan, return_scores=True)
         _, score_r, C_r, V_r = detect(st_sw, plan_r, return_scores=True)
@@ -570,8 +573,45 @@ class TestVarianceMap:
 
 
 def _verify(inst, pairs, plan):
-    return verify_candidates(inst, pairs, plan, pack_bits(inst.X),
+    keys = [a * inst.n + b for a, b in pairs]
+    return verify_candidates(inst, keys, plan, pack_bits(inst.X),
                              pack_bits(inst.Y))
+
+
+class TestCollect:
+    @staticmethod
+    def _scan(state, flags, cap):
+        """The per-flag scan of every membership the index replaced."""
+        pairs = []
+        for i, j, _ in flags:
+            mx = np.nonzero((state.mem_x == i).any(axis=1))[0]
+            my = np.nonzero((state.mem_y == j).any(axis=1))[0]
+            pairs += [(int(a), int(b)) for a in mx for b in my]
+            if len(pairs) > cap:
+                break
+        return pairs
+
+    @pytest.mark.parametrize("cap", [solver.CAP_PAIRS, 40])
+    def test_index_matches_membership_scan(self, monkeypatch, cap):
+        """The same pairs in the same order as the per-flag scan, with
+        repeats collapsed at t = 3, buckets left empty, and a cap that the
+        flag list crosses."""
+        monkeypatch.setattr(solver, "CAP_PAIRS", cap)
+        rng = np.random.default_rng(17)
+        n, m = 60, 32
+        mem_x = _dedupe_rows(rng.integers(0, m, size=(n, 3)))
+        mem_y = _dedupe_rows(rng.integers(0, m - 4, size=(n, 3)))
+        assert (mem_x < 0).any()
+        st = BucketState(mem_x, mem_y, _bucket_index(mem_x, m),
+                         _bucket_index(mem_y, m), None, None, None, None)
+        flags = [(int(i), int(j), 1.0) for i, j in
+                 rng.integers(0, m, size=(12, 2))] + [(3, m - 1, 1.0)]
+        keys = _collect_candidates(st, flags)
+        want = self._scan(st, flags, cap)
+        assert keys.dtype == np.int64
+        assert list(zip(*np.divmod(keys, n))) == want
+        every = self._scan(st, flags, math.inf)
+        assert (len(want) < len(every)) == (cap == 40) and len(want) > 40
 
 
 class TestVerify:
@@ -595,7 +635,8 @@ class TestVerify:
 
     def test_scores_the_raw_inner_product(self):
         """Every distinct pair, once and sorted, passes exactly when its +-1
-        inner product over all d bits reaches the threshold."""
+        inner product over all d bits reaches the threshold; each key comes
+        twice, in descending order."""
         inst = gen_planted(64, 256, 0.8, seed=15)
         plan = plan_uniform(64, 0.8, strassen_decomposition(), d=256)
         sx = 1 - 2 * inst.X.astype(np.int64)
@@ -604,7 +645,7 @@ class TestVerify:
         want = [(i, j) for i in range(64) for j in range(64)
                 if sx[i] @ sy[j] >= tau]
         pairs = [(i, j) for i in range(64) for j in range(64)] * 2
-        assert _verify(inst, pairs, plan) == want == [inst.planted()]
+        assert _verify(inst, pairs[::-1], plan) == want == [inst.planted()]
         assert _verify(inst, [], plan) == []
 
     @staticmethod
@@ -698,7 +739,7 @@ class TestSolveUniform:
         plan = plan_uniform(200, 0.8, t2112(), d=256)
         st = bucket_uniform(inst, plan, np.random.default_rng(6))
         dups = (st.mem_x < 0).sum()
-        assert st.sizes_x.sum() == 200 * plan.t - dups
+        assert np.diff(st.index_x[1]).sum() == 200 * plan.t - dups
 
 
 class TestLsh:
@@ -775,12 +816,11 @@ class TestLsh:
         qp = uniform_pair(2)
         pl = plan_lsh(128, rho_joint_matrix(0.6), d, qp, d=256)
         inst = gen_planted(128, 256, 0.6, seed=13)
-        from lumen.solver import _bucket_sizes
         rng = np.random.default_rng(7)
         L = 2 * pl.N
         stay = [qp.Q_x[:, 0]] * L
         mem = _lsh_memberships(inst.X[:, :L], stay, pl.copies, rng)
-        sizes = _bucket_sizes(mem, pl.m)
+        sizes = np.diff(_bucket_index(mem, pl.m)[1])
         lam = 128 * pl.copies / pl.m
         # Poisson-like occupancy: mean and variance agree with the uniform law
         assert abs(sizes.mean() - lam) < 4 * math.sqrt(lam / pl.m)
