@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import SplitFamily
+from .instances import SplitFamily, subset_parities
 
 __all__ = [
     "AggregationTask",
@@ -22,18 +22,6 @@ __all__ = [
     "aggregate_fast",
     "bench_aggregation",
 ]
-
-
-def _half_products(bits: np.ndarray, subsets) -> np.ndarray:
-    """Bit-parity of each subset per row: n x len(subsets) in {0,1}."""
-    n = bits.shape[0]
-    out = np.zeros((n, len(subsets)), dtype=np.uint8)
-    for idx, S in enumerate(subsets):
-        acc = bits[:, S[0]].copy()
-        for c in S[1:]:
-            acc ^= bits[:, c]
-        out[:, idx] = acc
-    return out
 
 
 @dataclass(frozen=True)
@@ -72,8 +60,8 @@ def aggregate_naive(task: AggregationTask) -> AggregateResult:
     a, b = idx // m2, idx % m2
     for i in range(g):
         row = task.vectors[i:i + 1]
-        p1 = _half_products(row, s1)[0]
-        p2 = _half_products(row, s2)[0]
+        p1 = subset_parities(row, s1)[0]
+        p2 = subset_parities(row, s2)[0]
         # signs multiply; bits xor
         bits = p1[a] ^ p2[b]
         out += 1 - 2 * bits.astype(np.int64)
@@ -86,8 +74,8 @@ def aggregate_fast(task: AggregationTask) -> AggregateResult:
     fam = task.family
     s1, s2 = fam.half_subsets()
     m2 = len(s2)
-    M1 = (1 - 2 * _half_products(task.vectors, s1).astype(np.int64)).T  # m1 x g
-    M2 = (1 - 2 * _half_products(task.vectors, s2).astype(np.int64))   # g x m2
+    M1 = (1 - 2 * subset_parities(task.vectors, s1).astype(np.int64)).T  # m1 x g
+    M2 = (1 - 2 * subset_parities(task.vectors, s2).astype(np.int64))   # g x m2
     g = task.vectors.shape[0]
     full = M1 @ M2
     mults = M1.shape[0] * m2 * g

@@ -15,7 +15,8 @@ from .efficacy import (DesignerError, design_q_matrices, eff_table,
                        exponent_bound, optimize_gamma, omega_rho_t2112,
                        rho_joint_matrix, t2112_flip_pair)
 from .harness import cmd_exponents, cmd_success_curve, cmd_verify
-from .instances import gen_planted, read_instance, write_instance
+from .instances import (SplitFamily, gen_planted, read_instance,
+                        write_instance)
 from .solver import (PlanError, lemma_checks, plan_lsh, plan_uniform,
                      solve_lsh, solve_uniform, verify_threshold)
 from .aggregation import bench_aggregation
@@ -181,6 +182,8 @@ def _run(args) -> int:
 
     if args.cmd == "exponent":
         d = _from_args(zoo.zoo_decomposition, args.tensor, args.eps)
+        if args.rho is not None and not 0.0 <= args.rho <= 1.0:
+            raise _BadArgument("rho must lie in [0, 1]")
         t = zoo.zoo_target(args.tensor, args.eps)
         e = eff_table(t).total
         expo = exponent_bound(d.rank, e)
@@ -188,27 +191,28 @@ def _run(args) -> int:
             from .efficacy import gamma as gamma_fn, uniform_pair
             rho = args.rho if args.rho is not None else 0.0
             if rho > 0 and args.tensor == "t2112":
-                expo_out = _from_args(omega_rho_t2112, rho)
+                expo_out = omega_rho_t2112(rho)
                 g = gamma_fn(t2112_flip_pair(rho), zoo.t2112_limit_tensor(),
                              rho_joint_matrix(rho))
             else:
                 g = gamma_fn(uniform_pair(t.shape.q_i), t,
-                             _from_args(rho_joint_matrix, max(rho, 0.0)))
+                             rho_joint_matrix(rho))
                 expo_out = expo
             print("tensor,epsilon,rho,eff,gamma,exponent")
             print(f"{args.tensor},{args.eps},{rho},{e:.6f},{g:.6f},{expo_out:.6f}")
             return 0
         hashing = None
         if args.rho is not None and args.tensor == "t2112":
-            hashing = _from_args(omega_rho_t2112, args.rho)
+            hashing = omega_rho_t2112(args.rho)
         print(f"rank {d.rank}  eff {e:.6f}  exponent {expo:.6f}")
         if hashing is not None:
             print(f"hashing exponent at rho={args.rho}: {hashing:.6f}")
         return 0
 
     if args.cmd == "exponents":
+        rhos = _from_args(np.linspace, 0, 1, args.points)
         _check_writable(args.out)
-        text = cmd_exponents(np.linspace(0, 1, args.points), out=args.out)
+        text = cmd_exponents(rhos, out=args.out)
         if not args.out:
             print(text, end="")
         return 0
@@ -283,6 +287,7 @@ def _run(args) -> int:
         return 0
 
     if args.cmd == "bench":
+        _from_args(SplitFamily, args.d, args.r)
         rows = bench_aggregation(d=args.d, r=args.r)
         print("g,d,r,naive_s,fast_s,op_ratio")
         for r in rows:

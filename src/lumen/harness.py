@@ -35,9 +35,6 @@ SUCCESS_HEADER = ["tensor", "eps", "rho", "n", "N", "g", "seeds", "successes",
 
 
 def default_jobs() -> int:
-    env = os.environ.get("LUMEN_JOBS")
-    if env:
-        return max(1, int(env))
     return max(1, min(2, os.cpu_count() or 1))
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "unpack_bits",
     "packed_inner",
     "SplitFamily",
+    "subset_parities",
     "expand_vectors",
     "default_subset_size",
     "map_to_pm1",
@@ -106,21 +107,22 @@ def gen_planted_p(n: int, d: int, q: int, P: np.ndarray, seed: int,
 # ---------------------------------------------------------------------------
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """n x d {0,1} array -> n x ceil(d/64) uint64 words (little-endian bits)."""
+    """n x d {0,1} array -> n x ceil(d/64) uint64 words, zero-padded.
+
+    Bit j lands at bit 8*(7 - (j mod 64) // 8) + j mod 8 of word j // 64:
+    each word is the eight little-endian-packed bytes of its 64 bits read
+    as one big-endian integer.
+    """
     n, d = bits.shape
-    nw = (d + 63) // 64
-    padded = np.zeros((n, nw * 64), dtype=np.uint8)
-    padded[:, :d] = bits
-    b = np.packbits(padded.reshape(n, nw, 8, 8)[:, :, ::-1, :], axis=-1,
-                    bitorder="little")
-    return b.reshape(n, nw, 8).view(np.uint64).reshape(n, nw)
+    words = np.zeros((n, (d + 63) // 64 * 8), dtype=np.uint8)
+    words[:, :(d + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return words.view(">u8").astype(np.uint64)
 
 
 def unpack_bits(words: np.ndarray, d: int) -> np.ndarray:
-    n, nw = words.shape
-    b = words.reshape(n, nw, 1).view(np.uint8).reshape(n, nw, 8)
-    bits = np.unpackbits(b[:, :, ::-1], axis=-1, bitorder="little")
-    return bits.reshape(n, nw * 64)[:, :d].copy()
+    """Inverse of pack_bits: the first d bits of each row, as n x d uint8."""
+    return np.unpackbits(words.astype(">u8").view(np.uint8), axis=1,
+                         count=d, bitorder="little")
 
 
 def packed_inner(wx: np.ndarray, wy: np.ndarray, d: int) -> np.ndarray:
@@ -172,10 +174,12 @@ class SplitFamily:
         return m1 * m2
 
     def half_subsets(self):
+        """The two halves' (r/2)-subsets in co-lex order, as k x r/2 intp
+        arrays of coordinate indices."""
         h = self.r // 2
-        s1 = list(combinations(range(self.d1), h))
-        s2 = list(combinations(range(self.d1, self.d), h))
-        return s1, s2
+        return tuple(np.array(list(combinations(range(lo, hi), h)),
+                              dtype=np.intp)
+                     for lo, hi in ((0, self.d1), (self.d1, self.d)))
 
     @property
     def stride(self) -> int:
@@ -215,6 +219,13 @@ def default_subset_size(d: int, rho: float, needed: int) -> int:
             raise ValueError(f"family of d={d} too small for {needed} coordinates")
 
 
+def subset_parities(bits: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """n x k {0,1} parities of the k column subsets in the k x h index array
+    cols: entry (i, s) is the XOR of bits[i, cols[s]], the bit form of the
+    +-1 product over subset s."""
+    return np.bitwise_xor.reduce(np.take(bits, cols.T, axis=1), axis=1)
+
+
 def expand_vectors(bits: np.ndarray, r: int, m: int,
                    offset: int = 0) -> np.ndarray:
     """Expanded {0,1} parities of m consecutive SplitFamily(d, r) elements.
@@ -228,13 +239,10 @@ def expand_vectors(bits: np.ndarray, r: int, m: int,
     fam = SplitFamily(bits.shape[1], r)
     if m > fam.size:
         raise ValueError(f"asked for {m} coordinates, family has {fam.size}")
-    s1, s2 = (np.array(s, dtype=np.intp) for s in fam.half_subsets())
+    s1, s2 = fam.half_subsets()
     idx = fam.window(m, offset)
-    cols = np.hstack([s1[idx // len(s2)], s2[idx % len(s2)]])
-    out = bits[:, cols[:, 0]]
-    for c in cols.T[1:]:
-        out ^= bits[:, c]
-    return out
+    return subset_parities(bits, np.hstack([s1[idx // len(s2)],
+                                            s2[idx % len(s2)]]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from lumen.core import Decomposition, Rank1Term, tensor_of_decomposition
 from lumen.efficacy import (dubiner_exponent, exponent_bound, omega_rho_t2112,
                             rho_joint_matrix)
 from lumen.harness import (EXPONENTS_HEADER, SUCCESS_HEADER, cmd_exponents,
-                           cmd_success_curve, cmd_verify,
+                           cmd_success_curve, cmd_verify, default_jobs,
                            exponent_rows, locate_corrupt_term, wilson_interval)
 from lumen.instances import gen_planted, gen_planted_p, write_instance
 from lumen.zoo import matmul_tensor, strassen_decomposition, zoo_decomposition
@@ -72,6 +73,11 @@ class TestVerifySuite:
 
 
 class TestSuccessCurve:
+    def test_default_jobs_reads_no_environment(self, monkeypatch):
+        """--jobs is the one way to set grid parallelism."""
+        monkeypatch.setenv("LUMEN_JOBS", "x")
+        assert default_jobs() == max(1, min(2, os.cpu_count() or 1))
+
     def test_schema_and_determinism(self):
         rows, text = cmd_success_curve("strassen", [128], [1.0], seeds=2,
                                        d=256, jobs=1)
@@ -238,7 +244,19 @@ class TestCli:
         (["success-curve", "--tensor", "strassen", "--n", "64", "--seeds", "1",
           "--out", "nodir/x.csv"], "nodir/x.csv: No such file or directory"),
         (["solve", "--n", "64", "--d", "512", "--tensor", "strassen",
-          "--json", "nodir/o.json"], "nodir/o.json: No such file or directory")])
+          "--json", "nodir/o.json"], "nodir/o.json: No such file or directory"),
+        (["bench", "agg", "--r", "3"],
+         "lumen bench: subset size r must be even and >= 2, got r = 3"),
+        (["bench", "agg", "--d", "2"],
+         "lumen bench: dimension too small for the subset size"),
+        (["exponents", "--points", "-1"],
+         "lumen exponents: Number of samples, -1, must be non-negative"),
+        (["exponent", "--tensor", "sw", "--rho", "-0.5", "--csv"],
+         "lumen exponent: rho must lie in [0, 1]"),
+        (["exponent", "--tensor", "t2112", "--rho", "1.5", "--csv"],
+         "lumen exponent: rho must lie in [0, 1]"),
+        (["exponent", "--tensor", "strassen", "--rho", "-0.5"],
+         "lumen exponent: rho must lie in [0, 1]")])
     def test_infeasible_input_exits_2(self, tmp_path, monkeypatch, capsys,
                                       argv, why):
         monkeypatch.chdir(tmp_path)

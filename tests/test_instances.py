@@ -12,7 +12,7 @@ from lumen.instances import (Instance, SplitFamily, check_vn,
                              default_subset_size, expand_vectors, gen_planted,
                              gen_planted_p, map_to_pm1, pack_bits,
                              packed_inner, read_instance, sidecar_path,
-                             unpack_bits, write_instance)
+                             subset_parities, unpack_bits, write_instance)
 
 
 class TestGenerators:
@@ -78,6 +78,20 @@ class TestPackedArithmetic:
         bits = rng.integers(0, 2, size=(17, 200), dtype=np.uint8)
         assert np.array_equal(unpack_bits(pack_bits(bits), 200), bits)
 
+    @pytest.mark.parametrize("j, word, value", [
+        (0, 0, 1 << 56), (63, 0, 1 << 7), (64, 1, 1 << 56)])
+    def test_word_layout(self, j, word, value):
+        """Bit j sits at bit 8*(7 - (j mod 64) // 8) + j mod 8 of word
+        j // 64; round trips and inner products hold under any layout, so
+        only this pins the one the instance files use."""
+        bits = np.zeros((1, 128), dtype=np.uint8)
+        bits[0, j] = 1
+        want = np.zeros((1, 2), dtype=np.uint64)
+        want[0, word] = value
+        got = pack_bits(bits)
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+        assert np.array_equal(unpack_bits(got, 128), bits)
+
 
 class TestExpansion:
     def test_hand_computed_split_products(self):
@@ -134,6 +148,21 @@ class TestExpansion:
                 S = subsets[(offset + k * step) % size]
                 want = np.bitwise_xor.reduce(bits[:, list(S)], axis=1)
                 assert np.array_equal(out[:, k], want), (m, offset, k)
+
+    @pytest.mark.parametrize("h, k", [(1, 1), (1, 6), (2, 1), (2, 9),
+                                      (3, 1), (3, 7)])
+    def test_subset_parities_match_scalar_xor(self, h, k):
+        rng = np.random.default_rng(10 + h * k)
+        bits = rng.integers(0, 2, size=(6, 11), dtype=np.uint8)
+        cols = rng.integers(0, 11, size=(k, h)).astype(np.intp)
+        got = subset_parities(bits, cols)
+        assert got.dtype == np.uint8 and got.shape == (6, k)
+        for i in range(6):
+            for s in range(k):
+                want = 0
+                for c in cols[s]:
+                    want ^= int(bits[i, c])
+                assert got[i, s] == want, (i, s)
 
     def test_family_size_guard(self):
         bits = np.zeros((1, 8), dtype=np.uint8)
@@ -252,6 +281,28 @@ class TestBinaryIO:
         back = read_instance(path)
         assert np.array_equal(back.X, inst.X)
         assert back.P is not None and np.allclose(back.P, P)
+
+    def test_packed_payload_bytes(self, tmp_path):
+        """The q=2 payload is each side's words, row-major, each word as 8
+        little-endian bytes: bit 0 of a row lands in the last byte of its
+        first word."""
+        X = np.zeros((2, 70), dtype=np.uint8)
+        Y = np.zeros((2, 70), dtype=np.uint8)
+        X[0, [0, 9, 63]] = 1
+        X[1, [1, 64, 69]] = 1
+        Y[0, [8, 62]] = 1
+        Y[1] = 1
+        path = str(tmp_path / "tiny.bin")
+        write_instance(path, Instance(2, 70, 2, X, Y, 0.5, None, 0, None))
+        with open(path, "rb") as f:
+            data = f.read()
+        assert data[45:].hex() == (
+            "8000000000000201" "0000000000000000"
+            "0000000000000002" "0000000000000021"
+            "4000000000000100" "0000000000000000"
+            "ffffffffffffffff" "000000000000003f")
+        back = read_instance(path)
+        assert np.array_equal(back.X, X) and np.array_equal(back.Y, Y)
 
     @pytest.mark.parametrize("size", [20, 60])
     def test_truncated_file_refused(self, tmp_path, size):

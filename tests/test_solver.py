@@ -463,17 +463,24 @@ class TestCountVariance:
 class TestDetector:
     @pytest.mark.parametrize("name, lsh, kind", [
         ("t2112", False, "subset_diag"), ("strassen", False, "masked_matmul"),
-        ("sw", True, "masked_matmul")])
+        ("sw", True, "masked_matmul"), ("t2112-eps0.5", False, "sweep")])
     def test_built_once(self, monkeypatch, name, lsh, kind):
         """Planning builds the detector, one executable level per distinct
         planned level; solving rounds never expand a decomposition again.
-        The null instance verifies no pair, so both rounds run."""
+        The null instance verifies no pair, so both rounds run.  The N=8
+        t2112 plan at eps 0.5 screens no level, so it runs the rank sweep."""
         d = {"t2112": t2112, "strassen": strassen_decomposition,
-             "sw": sw_decomposition}[name]()
+             "sw": sw_decomposition,
+             "t2112-eps0.5": lambda: t2112_decomposition(0.5, warn=False)
+             }[name]()
         rho = 0.6 if lsh else 0.8
         if lsh:
             plan = plan_lsh(64, rho_joint_matrix(rho), d, t2112_flip_pair(rho),
                             d=256, reps=2)
+        elif kind == "sweep":
+            # the digest's eps 0.5 plan (N=8 at the default round budget),
+            # of which two rounds run
+            plan = dataclasses.replace(plan_uniform(64, rho, d, d=256), reps=2)
         else:
             plan = plan_uniform(64, rho, d, d=256, reps=2)
         assert plan.kernel == kind
@@ -516,15 +523,19 @@ class TestExpansionPath:
         ("strassen", False, 256, 0.8), ("sw", True, 128, 0.6)])
     def test_solves_build_no_half_product_tables(self, monkeypatch, name,
                                                  lsh, n, rho):
-        """Rounds and verification expand windows from coordinate columns;
-        the half-product tables belong to the aggregation reference only."""
-        from lumen import aggregation, instances
+        """Rounds expand each window from its own coordinate columns: every
+        parity call of a solve takes exactly the round's d' subsets, never a
+        whole half's table as the aggregation reference does."""
+        from lumen import instances
 
-        def refuse(bits, subsets):
-            raise AssertionError("half-product table built on the solver path")
+        calls = []
+        parities = instances.subset_parities
 
-        assert not hasattr(instances, "_half_products")
-        monkeypatch.setattr(aggregation, "_half_products", refuse)
+        def recorded(bits, cols):
+            calls.append(len(cols))
+            return parities(bits, cols)
+
+        monkeypatch.setattr(instances, "subset_parities", recorded)
         d = {"strassen": strassen_decomposition, "sw": sw_decomposition}[name]()
         if lsh:
             plan = plan_lsh(n, rho_joint_matrix(rho), d, t2112_flip_pair(rho),
@@ -535,6 +546,7 @@ class TestExpansionPath:
         solve = solve_lsh if lsh else solve_uniform
         rep = solve(inst, d, plan=plan, seed=1)
         assert inst.planted() in rep.candidates
+        assert calls and set(calls) == {plan.d_prime}
 
 
 def _variance_cases():

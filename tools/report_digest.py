@@ -8,12 +8,13 @@ checkout, and compare the output:
     PYTHONPATH=<parent checkout>/src python3 tools/report_digest.py > old.txt
     diff old.txt new.txt
 
-The grid covers both solvers on planted and null instances; rounds are
-capped at REPS so that null solves stay short.  Each grid plan prints its
-headline fields, its verification threshold and its notes, so a planner or
-verification change shows.  It also scores one uniform bucket round and
-prints the sha256 of its scores C and of its variance map V, so a change
-that moves any bit of either shows, not only one that moves a flag.
+The grid covers both solvers and all three kernel kinds on planted and null
+instances; rounds are capped at REPS so that null solves stay short.  Each
+grid plan prints its headline fields, its verification threshold and its
+notes, so a planner or verification change shows.  It also scores one
+uniform bucket round and prints the sha256 of its scores C and of its
+variance map V, so a change that moves any bit of either shows, not only
+one that moves a flag.
 """
 
 import dataclasses
@@ -29,14 +30,17 @@ from lumen.solver import (bucket_uniform, detect, plan_lsh, plan_uniform,
 REPS = 6
 D = 256
 SEEDS = (0, 1, 2)
-# (tensor, lsh, n, rho)
-GRID = (("strassen", False, 256, 0.8), ("t2112", False, 128, 0.8),
-        ("sw", True, 128, 0.6), ("t2112", True, 112, 0.6))
+EPS = zoo.DEFAULT_EPS
+# (tensor, eps, lsh, n, rho); t2112 at eps 0.5 runs the sweep kernel
+GRID = (("strassen", EPS, False, 256, 0.8), ("t2112", EPS, False, 128, 0.8),
+        ("sw", EPS, True, 128, 0.6), ("t2112", EPS, True, 112, 0.6),
+        ("t2112", 0.5, False, 64, 0.8))
 
 
 def solves():
-    for tensor, lsh, n, rho in GRID:
-        decomp = zoo.zoo_decomposition(tensor)
+    for tensor, eps, lsh, n, rho in GRID:
+        decomp = zoo.zoo_decomposition(tensor, eps)
+        name = f"{tensor} eps={eps} lsh={lsh} n={n}"
         if lsh:
             plan = plan_lsh(n, rho_joint_matrix(rho), decomp,
                             t2112_flip_pair(rho), d=D)
@@ -44,7 +48,7 @@ def solves():
         else:
             plan = plan_uniform(n, rho, decomp, d=D)
             solve = solve_uniform
-        yield (f"{tensor} lsh={lsh} n={n} plan: kernel={plan.kernel} "
+        yield (f"{name} plan: kernel={plan.kernel} "
                f"N={plan.N} m={plan.m} t={plan.t} copies={plan.copies} "
                f"r={plan.r} rho_det={plan.rho_det} "
                f"detect_sigma={plan.detect_sigma} "
@@ -55,7 +59,7 @@ def solves():
         inst = gen_planted(n, D, rho, seed=900)
         _, _, C, V = detect(bucket_uniform(inst, plan, 0), plan,
                             return_scores=True)
-        yield (f"{tensor} lsh={lsh} n={n} round: kernel={plan.kernel} "
+        yield (f"{name} round: kernel={plan.kernel} "
                f"C={hashlib.sha256(C.tobytes()).hexdigest()} "
                f"V={hashlib.sha256(V.tobytes()).hexdigest()}")
         for planted in (True, False):
@@ -63,7 +67,7 @@ def solves():
                 inst = gen_planted(n, D, rho, seed=900 + seed, planted=planted)
                 counter = MultiplyCounter()
                 rep = solve(inst, decomp, plan=plan, seed=seed, counter=counter)
-                yield (f"{tensor} lsh={lsh} n={n} planted={planted} "
+                yield (f"{name} planted={planted} "
                        f"seed={seed}: found={rep.found} "
                        f"candidates={rep.candidates} flagged={rep.flagged} "
                        f"rounds={rep.rounds_run} stats={rep.stats} "
