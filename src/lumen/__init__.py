@@ -18,9 +18,10 @@ from .efficacy import (EfficacyTable, StochasticPair, design_q_matrices,
 from .instances import (Instance, expand_vectors, gen_planted, gen_planted_p,
                         map_to_pm1, check_vn, read_instance, write_instance)
 from .aggregation import aggregate_fast, aggregate_naive
-from .solver import (DetectionReport, SolverPlan, detect, lemma_checks,
-                     plan_lsh, plan_uniform, skew_metrics, solve_lsh,
-                     solve_uniform, verify_candidates)
+from .solver import (DetectionReport, SolverPlan, detect, plan_lsh,
+                     plan_uniform, skew_metrics, solve_lsh, solve_uniform,
+                     verify_candidates)
+from .harness import lemma_checks
 from . import zoo
 
 __version__ = "0.1.0"

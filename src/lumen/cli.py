@@ -14,11 +14,12 @@ from .core import decomposition_to_text, tensor_of_decomposition, MultiplyCounte
 from .efficacy import (DesignerError, design_q_matrices, eff_table,
                        exponent_bound, optimize_gamma, omega_rho_t2112,
                        rho_joint_matrix, t2112_flip_pair)
-from .harness import cmd_exponents, cmd_success_curve, cmd_verify
+from .harness import (cmd_exponents, cmd_success_curve, cmd_verify,
+                      lemma_checks)
 from .instances import (SplitFamily, gen_planted, read_instance,
                         write_instance)
-from .solver import (PlanError, lemma_checks, plan_lsh, plan_uniform,
-                     solve_lsh, solve_uniform, verify_threshold)
+from .solver import (PlanError, plan_lsh, plan_uniform, solve_lsh,
+                     solve_uniform, verify_threshold)
 from .aggregation import bench_aggregation
 
 

@@ -1,13 +1,15 @@
 """Experiment orchestration: exponent curves, success grids, verification
-summary, CSV/JSON emission."""
+summary, CSV/JSON emission, and the paper's probabilistic lemma suite."""
 
 from __future__ import annotations
 
+# the package, not its ProcessPoolExecutor: that name loads multiprocessing,
+# and `import lumen` imports this module
+import concurrent.futures
 import csv
 import io
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -16,7 +18,7 @@ from .core import (MultiplyCounter, apply_direct, apply_power,
 from .efficacy import (dubiner_exponent, eff_table, exponent_bound,
                        omega_rho_t2112, rho_joint_matrix, t2112_flip_pair)
 from .instances import gen_planted
-from .solver import (PlanError, lemma_checks, plan_lsh, plan_uniform,
+from .solver import (PlanError, plan_lsh, plan_uniform, skew_metrics,
                      solve_lsh, solve_uniform)
 from . import zoo
 
@@ -24,6 +26,7 @@ __all__ = [
     "cmd_exponents",
     "cmd_success_curve",
     "cmd_verify",
+    "lemma_checks",
     "EXPONENTS_HEADER",
     "SUCCESS_HEADER",
     "default_jobs",
@@ -126,7 +129,7 @@ def cmd_success_curve(tensor: str, n_list, rho_list, seeds: int = 20,
     tasks = [(decomp, n, dd, rho, 10_000 + s, null, plan)
              for n, rho, dd, plan in cells for s in range(seeds)]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
             results = list(ex.map(_one_solve, tasks, chunksize=1))
     else:
         results = [_one_solve(t) for t in tasks]
@@ -229,3 +232,83 @@ def cmd_verify(fast: bool = False):
 
     passed = all(c["pass"] for c in checks)
     return {"pass": passed, "checks": checks}
+
+
+# ---------------------------------------------------------------------------
+# probabilistic lemma suite
+# ---------------------------------------------------------------------------
+
+def lemma_checks(seed: int = 0, draws: int = 100000, n_matrices: int = 20,
+                 n_sets: int = 20) -> dict:
+    """Monte-Carlo and exhaustive validation of the three probabilistic facts
+    backing the bucketing analysis.
+
+    (a) random sign vectors keep |sum a_i b_j P_ij| >= |P_11| with chance 1/4;
+    (b) random index sets of size >= q/sqrt(|S|) hit a low-skew S with chance
+        1/4;
+    (c) regular sets satisfy V_x V_y <= |S|^3, exhaustively on [4]^2.
+    """
+    rng = np.random.default_rng(seed)
+    report = {}
+
+    freqs = []
+    for _ in range(n_matrices):
+        P = rng.standard_normal((6, 6))
+        a = 1.0 - 2.0 * rng.integers(0, 2, size=(draws, 6))
+        b = 1.0 - 2.0 * rng.integers(0, 2, size=(draws, 6))
+        vals = np.einsum("bi,ij,bj->b", a, P, b)
+        freqs.append(float((np.abs(vals) >= abs(P[0, 0])).mean()))
+    sig = math.sqrt(0.25 * 0.75 / draws)
+    report["sign_lemma"] = {
+        "min_freq": min(freqs), "bound": 0.25 - 3 * sig,
+        "pass": min(freqs) >= 0.25 - 3 * sig}
+
+    q = 8
+    set_draws = 20000
+    rates = []
+    made = 0
+    while made < n_sets:
+        size = int(rng.integers(2, 17))
+        idx = rng.choice(q * q, size=size, replace=False)
+        S = np.zeros((q, q), dtype=bool)
+        S[idx // q, idx % q] = True
+        V_x, V_y, _ = skew_metrics(S)
+        s = S.sum()
+        if V_x > s ** 1.5 or V_y > s ** 1.5:
+            continue
+        made += 1
+        k = math.ceil(q / math.sqrt(s))
+        # uniform k-subsets on both sides via argsort of random keys
+        sx = np.argsort(rng.random((set_draws, q)), axis=1)[:, :k]
+        sy = np.argsort(rng.random((set_draws, q)), axis=1)[:, :k]
+        hit = S[sx[:, :, None], sy[:, None, :]].any(axis=(1, 2))
+        rates.append(float(hit.mean()))
+    sig2 = math.sqrt(0.25 * 0.75 / set_draws)
+    report["rectangle_lemma"] = {
+        "min_rate": min(rates), "bound": 0.25 - 3 * sig2,
+        "pass": min(rates) >= 0.25 - 3 * sig2}
+
+    # exhaustive regular-set check on [4]^2
+    masks = np.arange(1 << 16, dtype=np.uint32)
+    bits = ((masks[:, None] >> np.arange(16)) & 1).astype(np.int64)
+    grid = bits.reshape(-1, 4, 4)
+    rows = grid.sum(axis=2)
+    cols = grid.sum(axis=1)
+
+    def _uniform_nonzero(counts):
+        mx = counts.max(axis=1)
+        masked = np.where(counts == 0, mx[:, None], counts)
+        return masked.min(axis=1) == mx
+
+    regular = _uniform_nonzero(rows) & _uniform_nonzero(cols)
+    sizes = grid.sum(axis=(1, 2))
+    V_x = (rows ** 2).sum(axis=1)
+    V_y = (cols ** 2).sum(axis=1)
+    ok = (~regular) | (V_x * V_y <= sizes.astype(np.int64) ** 3)
+    report["regular_lemma"] = {
+        "n_regular": int(regular.sum()), "violations": int((~ok).sum()),
+        "pass": bool(ok.all())}
+
+    report["pass"] = all(v["pass"] for v in report.values()
+                         if isinstance(v, dict))
+    return report

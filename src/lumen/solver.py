@@ -65,7 +65,6 @@ __all__ = [
     "verify_candidates",
     "verify_threshold",
     "skew_metrics",
-    "lemma_checks",
     "PlanError",
 ]
 
@@ -749,15 +748,36 @@ def _bucket_index(mem: np.ndarray, m: int):
 def bucket_aggregate(expanded_bits: np.ndarray, rows: np.ndarray,
                      starts: np.ndarray) -> np.ndarray:
     """The m x d' float32 sums of each bucket's expanded +-1 rows: its size
-    minus twice its count of one bits.  reduceat gives an empty segment an
-    element, not 0, so only the non-empty buckets go through it."""
+    minus twice its count of one bits.
+
+    The count adds whole uint64 words: the gathered rows, zero-padded to a
+    multiple of 8 columns, are read as words of eight uint8 lanes, one
+    column's 0/1 bit per lane.  A lane cannot carry into the next while it
+    sums at most 255 rows, so reduceat runs over segments that start at
+    every non-empty bucket and again every 255 rows inside a larger one;
+    when any bucket was cut, an int32 reduceat adds its segments' lane
+    counts back together.  reduceat gives an empty segment an element, not
+    0, so empty buckets get no segment."""
+    lane_max = 255
     sizes = np.diff(starts)
     full = np.flatnonzero(sizes)
-    out = np.zeros((sizes.size, expanded_bits.shape[1]), dtype=np.float32)
-    out[full] = np.add.reduceat(expanded_bits[rows], starts[full], axis=0,
-                                dtype=np.int32)
+    width = expanded_bits.shape[1]
+    if width % 8:
+        expanded_bits = np.pad(expanded_bits, ((0, 0), (0, -width % 8)))
+    words = expanded_bits[rows].view(np.uint64)
+    segments = -(-sizes[full] // lane_max)
+    seg = starts[full]
+    if (segments > 1).any():
+        first = np.cumsum(segments) - segments
+        seg = (np.repeat(seg - lane_max * first, segments)
+               + lane_max * np.arange(segments.sum()))
+    counts = np.add.reduceat(words, seg, axis=0).view(np.uint8)
+    if seg.size > full.size:
+        counts = np.add.reduceat(counts, first, axis=0, dtype=np.int32)
+    out = np.zeros((sizes.size, width), dtype=np.float32)
+    out[full] = counts[:, :width]
     out *= -2
-    out += sizes[:, None]
+    out += sizes[:, None].astype(np.float32)   # int64 would add in float64
     return out
 
 
@@ -1041,83 +1061,3 @@ def solve_lsh(instance: Instance, decomp: Decomposition,
         return _bucket_state(bits_x, bits_y, mem_x, mem_y, plan, offset, rng)
 
     return _run_rounds(instance, plan, seed, 2, draw, bits_x, bits_y, counter)
-
-
-# ---------------------------------------------------------------------------
-# probabilistic lemma suite
-# ---------------------------------------------------------------------------
-
-def lemma_checks(seed: int = 0, draws: int = 100000, n_matrices: int = 20,
-                 n_sets: int = 20) -> dict:
-    """Monte-Carlo and exhaustive validation of the three probabilistic facts
-    backing the bucketing analysis.
-
-    (a) random sign vectors keep |sum a_i b_j P_ij| >= |P_11| with chance 1/4;
-    (b) random index sets of size >= q/sqrt(|S|) hit a low-skew S with chance
-        1/4;
-    (c) regular sets satisfy V_x V_y <= |S|^3, exhaustively on [4]^2.
-    """
-    rng = np.random.default_rng(seed)
-    report = {}
-
-    freqs = []
-    for _ in range(n_matrices):
-        P = rng.standard_normal((6, 6))
-        a = 1.0 - 2.0 * rng.integers(0, 2, size=(draws, 6))
-        b = 1.0 - 2.0 * rng.integers(0, 2, size=(draws, 6))
-        vals = np.einsum("bi,ij,bj->b", a, P, b)
-        freqs.append(float((np.abs(vals) >= abs(P[0, 0])).mean()))
-    sig = math.sqrt(0.25 * 0.75 / draws)
-    report["sign_lemma"] = {
-        "min_freq": min(freqs), "bound": 0.25 - 3 * sig,
-        "pass": min(freqs) >= 0.25 - 3 * sig}
-
-    q = 8
-    set_draws = 20000
-    rates = []
-    made = 0
-    while made < n_sets:
-        size = int(rng.integers(2, 17))
-        idx = rng.choice(q * q, size=size, replace=False)
-        S = np.zeros((q, q), dtype=bool)
-        S[idx // q, idx % q] = True
-        V_x, V_y, _ = skew_metrics(S)
-        s = S.sum()
-        if V_x > s ** 1.5 or V_y > s ** 1.5:
-            continue
-        made += 1
-        k = math.ceil(q / math.sqrt(s))
-        # uniform k-subsets on both sides via argsort of random keys
-        sx = np.argsort(rng.random((set_draws, q)), axis=1)[:, :k]
-        sy = np.argsort(rng.random((set_draws, q)), axis=1)[:, :k]
-        hit = S[sx[:, :, None], sy[:, None, :]].any(axis=(1, 2))
-        rates.append(float(hit.mean()))
-    sig2 = math.sqrt(0.25 * 0.75 / set_draws)
-    report["rectangle_lemma"] = {
-        "min_rate": min(rates), "bound": 0.25 - 3 * sig2,
-        "pass": min(rates) >= 0.25 - 3 * sig2}
-
-    # exhaustive regular-set check on [4]^2
-    masks = np.arange(1 << 16, dtype=np.uint32)
-    bits = ((masks[:, None] >> np.arange(16)) & 1).astype(np.int64)
-    grid = bits.reshape(-1, 4, 4)
-    rows = grid.sum(axis=2)
-    cols = grid.sum(axis=1)
-
-    def _uniform_nonzero(counts):
-        mx = counts.max(axis=1)
-        masked = np.where(counts == 0, mx[:, None], counts)
-        return masked.min(axis=1) == mx
-
-    regular = _uniform_nonzero(rows) & _uniform_nonzero(cols)
-    sizes = grid.sum(axis=(1, 2))
-    V_x = (rows ** 2).sum(axis=1)
-    V_y = (cols ** 2).sum(axis=1)
-    ok = (~regular) | (V_x * V_y <= sizes.astype(np.int64) ** 3)
-    report["regular_lemma"] = {
-        "n_regular": int(regular.sum()), "violations": int((~ok).sum()),
-        "pass": bool(ok.all())}
-
-    report["pass"] = all(v["pass"] for v in report.values()
-                         if isinstance(v, dict))
-    return report

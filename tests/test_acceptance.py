@@ -19,10 +19,9 @@ from lumen.efficacy import (StochasticPair, design_q_matrices, eff_table,
                             optimize_gamma, rho_joint_matrix,
                             scalar_improvement_holds, t2112_optimal_a,
                             column_permutation_for_mixed_signs, uniform_pair)
-from lumen.harness import cmd_success_curve, exponent_rows
+from lumen.harness import cmd_success_curve, exponent_rows, lemma_checks
 from lumen.instances import SplitFamily, gen_planted
-from lumen.solver import (bucket_uniform, detect, lemma_checks, plan_uniform,
-                          _build_detector)
+from lumen.solver import bucket_uniform, detect, plan_uniform, _build_detector
 from lumen.zoo import (matmul_tensor, strassen_decomposition, sw_decomposition,
                        sw_target, t2112_decomposition, t2112_derivation_check,
                        t2112_limit_tensor, t2112_target, zoo_entries)

@@ -92,6 +92,16 @@ class TestBench:
         assert big["g"] == 256 and big["fast_s"] < big["naive_s"]
 
 
+def scatter_sum(bits, mem, m):
+    """Each bucket's +-1 sum by a per-copy np.add.at scatter of its rows."""
+    signs = (1.0 - 2.0 * bits).astype(np.float32)
+    want = np.zeros((m, bits.shape[1]), dtype=np.float32)
+    for c in range(mem.shape[1]):
+        ok = mem[:, c] >= 0
+        np.add.at(want, mem[ok, c], signs[ok])
+    return want
+
+
 class TestBucketAggregate:
     def test_scatter_matches_dense_sum(self):
         """The index sums equal a per-copy np.add.at scatter at t = 1, 2, 3,
@@ -99,7 +109,6 @@ class TestBucketAggregate:
         rng = np.random.default_rng(4)
         n, d, m = 50, 32, 64
         bits = rng.integers(0, 2, size=(n, d), dtype=np.uint8)
-        signs = (1.0 - 2.0 * bits).astype(np.float32)
         for t in (1, 2, 3):
             # ids in 1..39 leave bucket 0 and buckets 40..63 empty; row 0
             # repeats its first id in every copy
@@ -107,9 +116,47 @@ class TestBucketAggregate:
             ids[0] = ids[0, 0]
             mem = _dedupe_rows(ids)
             assert (mem < 0).sum() >= t - 1
-            want = np.zeros((m, d), dtype=np.float32)
-            for c in range(t):
-                ok = mem[:, c] >= 0
-                np.add.at(want, mem[ok, c], signs[ok])
             out = bucket_aggregate(bits, *_bucket_index(mem, m))
-            assert out.dtype == np.float32 and np.array_equal(out, want)
+            assert out.dtype == np.float32
+            assert np.array_equal(out, scatter_sum(bits, mem, m))
+
+    @pytest.mark.parametrize("fill", ["ones", "random"])
+    @pytest.mark.parametrize("width", [1, 4, 13, 64])
+    def test_exact_across_lane_limits(self, fill, width):
+        """Buckets of 255, 256, 510, 511 and 600 rows, between empty ones,
+        sum exactly at widths below one word or off a multiple of 8; with
+        every bit set, every lane of every segment reaches its maximum."""
+        rng = np.random.default_rng(width)
+        big = {1: 255, 3: 256, 4: 510, 5: 511, 7: 600}   # 0, 2, 6, 9 empty
+        ids = np.repeat(list(big), list(big.values()))
+        n, m = ids.size, 10
+        rng.shuffle(ids)
+        # the second copy repeats the first (collapsed to -1) except on
+        # three rows, which also join bucket 8
+        again = ids.copy()
+        again[:3] = 8
+        mem = _dedupe_rows(np.stack([ids, again], axis=1))
+        assert (mem[:, 1] < 0).sum() == n - 3
+        if fill == "ones":
+            bits = np.ones((n, width), dtype=np.uint8)
+        else:
+            bits = rng.integers(0, 2, size=(n, width), dtype=np.uint8)
+        rows, starts = _bucket_index(mem, m)
+        assert np.diff(starts).tolist() == [0, 255, 0, 256, 510, 511, 0, 600,
+                                            3, 0]
+        out = bucket_aggregate(bits, rows, starts)
+        assert out.dtype == np.float32
+        assert np.array_equal(out, scatter_sum(bits, mem, m))
+
+    def test_one_bucket_is_the_reference_aggregate(self):
+        """A bucket of all g = 300 rows (past one lane's 255) sums to the
+        paper's reference aggregate of the same vectors."""
+        rng = np.random.default_rng(5)
+        g, d, r, m = 300, 24, 4, 200
+        bits = rng.integers(0, 2, size=(g, d), dtype=np.uint8)
+        mem = np.zeros((g, 1), dtype=np.int64)
+        out = bucket_aggregate(expand_vectors(bits, r, m, 0),
+                               *_bucket_index(mem, 1))
+        task = AggregationTask(bits, r, m)
+        assert np.array_equal(out[0], aggregate_naive(task).values)
+        assert np.array_equal(out[0], aggregate_fast(task).values)

@@ -13,11 +13,11 @@ from lumen.core import (MultiplyCounter, Rank1Term, Decomposition, Tensor,
 from lumen.efficacy import (StochasticPair, eff_table, exponent_bound,
                             rho_joint_matrix, t2112_flip_pair,
                             t2112_optimal_a, uniform_pair)
+from lumen.harness import lemma_checks
 from lumen.instances import SplitFamily, gen_planted, gen_planted_p, pack_bits
 from lumen.solver import (BucketState, PlanError, bucket_uniform, detect,
-                          lemma_checks, plan_lsh, plan_uniform, skew_metrics,
-                          solve_lsh, solve_uniform, verify_candidates,
-                          verify_threshold,
+                          plan_lsh, plan_uniform, skew_metrics, solve_lsh,
+                          solve_uniform, verify_candidates, verify_threshold,
                           _apply_masked_matmul, _apply_subset_diag,
                           _bucket_index, _bucket_state, _build_detector,
                           _collect_candidates, _count_variance, _dedupe_rows,

@@ -12,9 +12,10 @@ The grid covers both solvers and all three kernel kinds on planted and null
 instances; rounds are capped at REPS so that null solves stay short.  Each
 grid plan prints its headline fields, its verification threshold and its
 notes, so a planner or verification change shows.  It also scores one
-uniform bucket round and prints the sha256 of its scores C and of its
-variance map V, so a change that moves any bit of either shows, not only
-one that moves a flag.
+uniform bucket round and prints the sha256 of its bucket sums agg_x and
+agg_y, of its scores C and of its variance map V, so a change that moves
+any bit of the bucket sums or the scores shows, not only one that moves a
+flag.
 """
 
 import dataclasses
@@ -57,9 +58,11 @@ def solves():
                f"notes={plan.notes}")
         plan = dataclasses.replace(plan, reps=min(plan.reps, REPS))
         inst = gen_planted(n, D, rho, seed=900)
-        _, _, C, V = detect(bucket_uniform(inst, plan, 0), plan,
-                            return_scores=True)
+        state = bucket_uniform(inst, plan, 0)
+        _, _, C, V = detect(state, plan, return_scores=True)
         yield (f"{name} round: kernel={plan.kernel} "
+               f"agg_x={hashlib.sha256(state.agg_x.tobytes()).hexdigest()} "
+               f"agg_y={hashlib.sha256(state.agg_y.tobytes()).hexdigest()} "
                f"C={hashlib.sha256(C.tobytes()).hexdigest()} "
                f"V={hashlib.sha256(V.tobytes()).hexdigest()}")
         for planted in (True, False):
