@@ -19,19 +19,21 @@ planned level is screened numerically, and decompositions whose coefficient
 spread would destroy double precision at the planned power are replaced by
 the unit-term decomposition of their expanded tensor (dropping coefficients
 whose total variance share is negligible, checked and recorded on the plan).
-When every executable level is a unit-coefficient subset of matmul, so a 0/1
-mask over the matmul slots, detection runs one of two mask kernels and the
-variance map is closed form: outer(sizes_x, sizes_y) times the Kronecker
-product of each level's kept-slot counts.  The subset_diag kernel (levels
-whose diagonal cells keep both k slots and whose off cells keep one, as the
-t2112 surrogate does) runs each off-digit mask as one einsum over strided
+A level is then described by its pair-weight matrix W_l and, when it is a
+unit-coefficient subset of matmul (a 0/1 mask over the matmul slots), by
+the slots E_l it omits.  The variance map reads only the W_l: it is closed
+form, outer(sizes_x, sizes_y) times the Kronecker product of the diagonals
+of the W_l, exactly when every W_l is diagonal, as every mask level's is,
+and a pair-weight sweep otherwise.  When every executable level is a mask,
+detection runs one of two mask kernels.  The subset_diag kernel (levels
+whose E_l is one slot at each off cell and none on the diagonal, as the
+t2112 surrogate's is) runs each off-digit mask as one einsum over strided
 views of K-major operands whose row digits are rotated so that the mask's
-longest run of free digits is contiguous; its per-mask einsum table is built
-on the first apply.  The masked_matmul kernel (any other mask, as sw's; an
-exact matmul level omits no slot) expands the omitted slots by
+longest run of free digits is contiguous; its per-mask einsum table is
+built on the first apply.  The masked_matmul kernel (any other mask, as
+sw's; an exact matmul level omits no slot) expands the omitted slots by
 inclusion-exclusion into signed BLAS products over fixed-digit sub-blocks,
-and is one A @ B.T for matmul.  Other levels run the rank recursion and the
-pair-weight variance sweep.
+and is one A @ B.T for matmul.  Other levels run the rank recursion.
 """
 
 from __future__ import annotations
@@ -92,22 +94,18 @@ class Detector:
     products over the slots each level omits from matmul; one A @ B.T when
     it omits none) or 'sweep' (the rank recursion).  levels are the
     executable per-level decompositions and rank_product the paper's
-    prod(rank_l) over the planned ones.  The mask kinds keep counts, each
-    level's K_l[i, j] = the k slots it keeps at output (i, j); subset_diag
-    keeps forced, the L x 2 array of k digits that the (0,1) and (1,0) off
-    cells force; masked_matmul keeps missing, each level's omitted (i, k, j)
-    slots; sweep keeps weights, the transposed per-level pair-weight
-    matrices of the variance sweep.  dropped_var is the largest variance
-    share a surrogate level dropped.
+    prod(rank_l) over the planned ones.  dropped_var is the largest
+    variance share a surrogate level dropped.  Every kind keeps weights,
+    the transposed pair-weight matrices W_l that _variance_map reads; the
+    mask kinds keep missing, each level's omitted (i, k, j) slots E_l, from
+    which their kernels are built.
     """
     kind: str
     levels: tuple
     rank_product: int
     dropped_var: float
-    counts: tuple = ()
-    forced: np.ndarray | None = None
+    weights: tuple
     missing: tuple = ()
-    weights: tuple = ()
 
     @property
     def m(self) -> int:
@@ -132,7 +130,7 @@ class Detector:
     def masks(self) -> tuple:
         """The subset_diag kernel's per-mask einsum table, built on the
         first apply rather than while planning."""
-        return _subset_diag_masks(self.forced)
+        return _subset_diag_masks(self.missing)
 
     def apply(self, A, B, counter: MultiplyCounter | None = None):
         """Scores C of the sign-flipped m x d' aggregates A and B."""
@@ -144,12 +142,6 @@ class Detector:
                 counter=counter)
         return apply_power(self.levels, A, B, dtype=np.float32,
                            counter=counter)
-
-    def variance(self, sizes_x, sizes_y) -> np.ndarray:
-        """Exact variance of every score cell given the realized sizes."""
-        if self.kind == "sweep":
-            return _variance_map(self.weights, sizes_x, sizes_y)
-        return _count_variance(self.counts, sizes_x, sizes_y)
 
 
 @dataclass
@@ -237,12 +229,6 @@ def _threshold_choice(table: np.ndarray):
     return best[1], best[2]
 
 
-def _is_exact_matmul(t: Tensor) -> bool:
-    from .zoo import matmul_tensor
-    ref = matmul_tensor(t.shape.q_i, t.shape.q_k)
-    return t.shape.q_i == t.shape.q_j and np.array_equal(t.coeff, ref.coeff)
-
-
 def _stability_scale(d: Decomposition) -> float:
     """Largest |alpha| |beta| |gamma| product over terms: the per-level factor
     by which the recursion can amplify rounding relative to the output."""
@@ -294,16 +280,6 @@ def _unit_mask(t: Tensor):
     return np.einsum("ikjkij->ikj", t.coeff)
 
 
-def _subset_diag_pattern(M):
-    """For a q = 2 level mask whose diagonal output cells keep both k slots
-    and whose off cells keep exactly one, the forced k digits (k at (0,1),
-    k at (1,0)); else None."""
-    if (M is None or M.shape != (2, 2, 2)
-            or not np.array_equal(M.sum(axis=1), [[2, 1], [1, 2]])):
-        return None
-    return int(M[0, 1, 1]), int(M[1, 1, 0])
-
-
 def _pair_weight_matrix(t: Tensor) -> np.ndarray:
     """w[(ia,jb),(i,j)] = sum_k sum_k' coeff(ia,k,jb,k' -> i,j)^2, the per-level
     transfer of squared coefficients used by the variance sweep."""
@@ -318,9 +294,10 @@ def _build_detector(levels) -> Detector:
 
     A level whose coefficient spread would destroy double precision at this
     power is replaced by the unit-term surrogate of its expanded tensor.  The
-    kind is 'subset_diag' when every executable level matches the forced/free
-    digit pattern, else 'masked_matmul' when every executable level is a
-    unit-coefficient subset of matmul, else 'sweep'.
+    kind is 'subset_diag' when every executable level is a q = 2 mask that
+    omits one slot at each off cell and none on the diagonal, else
+    'masked_matmul' when every executable level is a unit-coefficient subset
+    of matmul, else 'sweep'.
     """
     screened = {}
     for d in levels:
@@ -332,22 +309,23 @@ def _build_detector(levels) -> Detector:
         if _stability_scale(d) ** len(levels) * 1.1e-16 > STABILITY_TOL:
             exec_d, share = _unit_term_decomposition(t, SURROGATE_VAR_TOL)
             exec_t = tensor_of_decomposition(exec_d)
-        screened[id(d)] = (exec_d, exec_t, _unit_mask(exec_t), share)
-    exec_levels, tensors, masks, shares = zip(
+        screened[id(d)] = (exec_d, _pair_weight_matrix(exec_t).T,
+                           _unit_mask(exec_t), share)
+    exec_levels, weights, masks, shares = zip(
         *(screened[id(d)] for d in levels))
-    common = dict(levels=exec_levels, dropped_var=max(shares),
+    common = dict(levels=exec_levels, weights=weights,
+                  dropped_var=max(shares),
                   rank_product=math.prod(d.rank for d in levels))
     if any(M is None for M in masks):
-        return Detector("sweep", weights=tuple(
-            _pair_weight_matrix(t).T for t in tensors), **common)
-    counts = tuple(M.sum(axis=1) for M in masks)
-    patterns = [_subset_diag_pattern(M) for M in masks]
-    if all(p is not None for p in patterns):
-        return Detector("subset_diag", counts=counts,
-                        forced=np.array(patterns, dtype=np.int64), **common)
-    return Detector("masked_matmul", counts=counts, missing=tuple(
-        tuple(tuple(map(int, e)) for e in np.argwhere(M == 0))
-        for M in masks), **common)
+        return Detector("sweep", **common)
+    missing = tuple(tuple(tuple(map(int, e)) for e in np.argwhere(M == 0))
+                    for M in masks)
+    # argwhere lists E_l by i first: one slot at (0, 1), then one at (1, 0)
+    if all(M.shape == (2, 2, 2)
+           and [(i, j) for i, _, j in E] == [(0, 1), (1, 0)]
+           for M, E in zip(masks, missing)):
+        return Detector("subset_diag", missing=missing, **common)
+    return Detector("masked_matmul", missing=missing, **common)
 
 
 def _free_run_end(off) -> int:
@@ -380,20 +358,21 @@ def _merge_axes(axes, ops: int):
 _SUBSCRIPTS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def _subset_diag_masks(forced) -> tuple:
+def _subset_diag_masks(missing) -> tuple:
     """The einsum of every off-digit mask of the subset_diag kernel.
 
-    forced is the L x 2 array of k digits forced by the (0,1) and (1,0) off
-    cells of each level.  The kernel reads K-major operands At[k, I'] whose
-    rows are rotated: in rotation r, row digit l has weight 2^((r - l) mod L),
-    so digit r is least significant.  Each mask runs in the rotation whose
-    lowest digits are its longest run of free digits, so the einsum's inner
-    loop walks that run contiguously.  Returns (r, entries) pairs, r
+    missing holds each level's two omitted slots, (0, k, 1) and (1, k', 0):
+    its off cells (0, 1) and (1, 0) keep only the other k digit, so they
+    force k digits 1 - k and 1 - k'.  The kernel reads K-major operands
+    At[k, I'] whose rows are rotated: in rotation r, row digit l has weight
+    2^((r - l) mod L), so digit r is least significant.  Each mask runs in
+    the rotation whose lowest digits are its longest run of free digits, so
+    the einsum's inner loop walks that run contiguously.  Returns (r, entries) pairs, r
     descending; an entry is (subscripts, shape, A offset, A strides,
     B offset, B strides, out shape, C shape, C offset, C strides), offsets
     and strides in bytes of float32, C[I, J] in the unrotated order.
     """
-    forced = np.asarray(forced).tolist()
+    forced = [[1 - k for _, k, _ in E] for E in missing]
     L, size = len(forced), np.dtype(np.float32).itemsize
     m = 1 << L
     w = [1 << (L - 1 - l) for l in range(L)]
@@ -533,11 +512,22 @@ def _apply_masked_matmul(shapes, missing, A, B,
     return C
 
 
-def _count_variance(counts, sizes_x, sizes_y) -> np.ndarray:
-    """Exact realized-size variance of a unit-coefficient subset-of-matmul
-    plan: V = outer(sizes_x, sizes_y) * (K_1 kron ... kron K_L), K_l[i, j]
-    the k slots level l keeps at (i, j).  The Kronecker factors are split
-    in two halves, so no m x m array is built besides V."""
+def _variance_map(weights, sizes_x, sizes_y) -> np.ndarray:
+    """Exact realized-size variance of every output cell.
+
+    var[I,J] = sum_{ia,jb} prod_l w_l[(ia_l,jb_l),(I_l,J_l)] |X_ia| |Y_jb|
+    over the transposed per-level (q^2 x q^2) transfer matrices in weights.
+    Levels are square (q_i = q_j), as the m x m bucket grid is.  When every
+    w_l is diagonal, var = outer(sizes_x, sizes_y) * (K_1 kron ... kron K_L)
+    with K_l the q x q diagonal of w_l, built from two half-Kronecker
+    factors so that no m x m array besides var is made.  Otherwise the
+    matrices are swept over the interleaved outer product of the sizes.
+    """
+    qs = [math.isqrt(W.shape[0]) for W in weights]
+    if not all(np.array_equal(W, np.diag(W.diagonal())) for W in weights):
+        sizes = _interleave(np.outer(sizes_x, sizes_y), qs, qs, np.float64)
+        return _uninterleave(_sweep(sizes, weights), qs, qs)
+    counts = [W.diagonal().reshape(q, q) for W, q in zip(weights, qs)]
     h = len(counts) // 2
     KA = reduce(np.kron, counts[:h], np.ones((1, 1)))
     KB = reduce(np.kron, counts[h:], np.ones((1, 1)))
@@ -545,19 +535,6 @@ def _count_variance(counts, sizes_x, sizes_y) -> np.ndarray:
     rows = sizes_x.reshape(a, b, 1, 1) * KA.reshape(a, 1, a2, 1)
     cols = sizes_y.reshape(1, 1, a2, b2) * KB.reshape(1, b, 1, b2)
     return (rows * cols).reshape(a * b, a2 * b2)
-
-
-def _variance_map(weights, sizes_x, sizes_y) -> np.ndarray:
-    """Exact realized-size variance of every output cell.
-
-    var[I,J] = sum_{ia,jb} prod_l w_l[(ia_l,jb_l),(I_l,J_l)] |X_ia| |Y_jb|,
-    evaluated by sweeping the transposed per-level (q^2 x q^2) transfer
-    matrices in weights over the interleaved outer product of the size
-    vectors.  Levels are square (q_i = q_j), as the m x m bucket grid is.
-    """
-    qs = [math.isqrt(W.shape[0]) for W in weights]
-    sizes = _interleave(np.outer(sizes_x, sizes_y), qs, qs, np.float64)
-    return _uninterleave(_sweep(sizes, weights), qs, qs)
 
 
 def _phi(x: float) -> float:
@@ -617,20 +594,16 @@ def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int,
     symmetrized = not (V_x <= S_f.sum() ** 1.5 + 1e-9
                        and V_y <= S_f.sum() ** 1.5 + 1e-9)
 
-    if symmetrized:
-        base_levels = [decomp, reflect_decomposition(decomp)]
-        level_table = np.kron(table0.per_entry, table0.per_entry.T)
-        q_lvl = t0.shape.q_i ** 2
-        rank_lvl = decomp.rank ** 2
-        qk_lvl = t0.shape.q_k ** 2
-    else:
-        base_levels = [decomp]
-        level_table = table0.per_entry
-        q_lvl = t0.shape.q_i
-        rank_lvl = decomp.rank
-        qk_lvl = t0.shape.q_k
+    base_levels = ([decomp, reflect_decomposition(decomp)] if symmetrized
+                   else [decomp])
+    level_table = reduce(np.kron, [table0.per_entry, table0.per_entry.T]
+                         [:len(base_levels)])
+    q_lvl = math.prod(lv.shape.q_i for lv in base_levels)
+    rank_lvl = math.prod(lv.rank for lv in base_levels)
+    qk_lvl = math.prod(lv.shape.q_k for lv in base_levels)
 
-    matmul_like = _is_exact_matmul(t0)
+    M = _unit_mask(t0)
+    matmul_like = M is not None and bool(M.all())
     reps = reps if reps is not None else _default_reps(n)
 
     best = None
@@ -824,8 +797,8 @@ def detect(state: BucketState, plan: SolverPlan,
     A = state.agg_x * state.signs_x[:, None]
     B = state.agg_y * state.signs_y[:, None]
     C = plan.detector.apply(A, B, counter=counter)
-    V = plan.detector.variance(np.diff(state.index_x[1]),
-                               np.diff(state.index_y[1]))
+    V = _variance_map(plan.detector.weights, np.diff(state.index_x[1]),
+                      np.diff(state.index_y[1]))
     with np.errstate(divide="ignore", invalid="ignore"):
         score = np.abs(C) / np.sqrt(V)
     score[~np.isfinite(score)] = 0.0

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from lumen import solver
-from lumen.core import (MultiplyCounter, Rank1Term, Decomposition, Tensor,
-                        TensorShape, apply_power, kronecker,
-                        reflect_decomposition, tensor_of_decomposition)
+from lumen.core import (MultiplyCounter, Rank1Term, Decomposition,
+                        TensorShape, _interleave, _sweep, _uninterleave,
+                        apply_power, kronecker, reflect_decomposition,
+                        tensor_of_decomposition)
 from lumen.efficacy import (StochasticPair, eff_table, exponent_bound,
                             rho_joint_matrix, t2112_flip_pair,
                             t2112_optimal_a, uniform_pair)
@@ -20,7 +21,7 @@ from lumen.solver import (BucketState, PlanError, bucket_uniform, detect,
                           solve_uniform, verify_candidates, verify_threshold,
                           _apply_masked_matmul, _apply_subset_diag,
                           _bucket_index, _bucket_state, _build_detector,
-                          _collect_candidates, _count_variance, _dedupe_rows,
+                          _collect_candidates, _dedupe_rows,
                           _lsh_memberships, _pair_weight_matrix,
                           _threshold_choice, _unit_mask, _variance_map)
 from lumen.zoo import (matmul_tensor, strassen_decomposition,
@@ -67,6 +68,49 @@ class TestSkewMetrics:
         assert (V_x, V_y, reg) == (5, 5, False)
 
 
+def _keep_row_zero():
+    """The matmul slots of output row i = 0 only, each with coefficient 1:
+    a subset of matmul whose efficacy sits in one row."""
+    terms = []
+    for j in range(2):
+        for k in range(2):
+            a = np.zeros((2, 2)); a[0, k] = 1
+            b = np.zeros((2, 2)); b[j, k] = 1
+            g = np.zeros((2, 2)); g[0, j] = 1
+            terms.append(Rank1Term(a, b, g))
+    return Decomposition(TensorShape(2, 2, 2), tuple(terms))
+
+
+def _swept_variance(weights, sizes_x, sizes_y):
+    """The pair-weight sweep over the interleaved outer product of the
+    sizes, on any weights, diagonal or not."""
+    qs = [math.isqrt(W.shape[0]) for W in weights]
+    sizes = _interleave(np.outer(sizes_x, sizes_y), qs, qs, np.float64)
+    return _uninterleave(_sweep(sizes, weights), qs, qs)
+
+
+def _refuse_sweep(monkeypatch):
+    """Make the closed form the only way _variance_map can answer."""
+    def refuse(vec, mats):
+        raise AssertionError("diagonal weights were swept")
+
+    monkeypatch.setattr(solver, "_sweep", refuse)
+
+
+def _coefficient_two_matmul():
+    """<2,2,2> with coefficient 2 on every matmul slot: diagonal pair
+    weights, but not a 0/1 mask."""
+    terms = []
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                a = np.zeros((2, 2)); a[i, k] = 1
+                b = np.zeros((2, 2)); b[j, k] = 1
+                g = np.zeros((2, 2)); g[i, j] = 2
+                terms.append(Rank1Term(a, b, g))
+    return Decomposition(TensorShape(2, 2, 2), tuple(terms))
+
+
 class TestPlanUniform:
     def test_t2112_threshold_tie_rule(self):
         p = plan_uniform(1024, 0.8, t2112(), d=512)
@@ -85,25 +129,30 @@ class TestPlanUniform:
         assert p.detector.missing == ((),) * p.N
 
     def test_skewed_tensor_symmetrizes(self):
-        # efficacy concentrated in one row: V_x = |S|^2 > |S|^1.5
-        c = np.zeros((2, 2, 2, 2, 2, 2))
-        for j in range(2):
-            for k in range(2):
-                c[0, k, j, k, 0, j] = 1.0
-        t = Tensor(TensorShape(2, 2, 2), c)
-        terms = []
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    if c[i, k, j, k, i, j]:
-                        a = np.zeros((2, 2)); a[i, k] = 1
-                        b = np.zeros((2, 2)); b[j, k] = 1
-                        g = np.zeros((2, 2)); g[i, j] = 1
-                        terms.append(Rank1Term(a, b, g))
-        d = Decomposition(TensorShape(2, 2, 2), tuple(terms))
-        p = plan_uniform(96, 0.9, d, d=256)
-        assert p.symmetrized
-        assert len(p.levels) == 2 * p.N
+        """A subset of matmul keeping only the i = 0 slots puts its efficacy
+        in one row (V_x = |S|^2 > |S|^1.5), so the plan runs T interleaved
+        with its reflection: 2N levels, alternating, 4^N buckets a side.
+        Its weights are diagonal and the closed-form variance map equals
+        the sweep.  Plan only: each level omits four slots, so one
+        masked_matmul round runs 5^(2N) BLAS products."""
+        d = _keep_row_zero()
+        t = tensor_of_decomposition(d)
+        reflected = tensor_of_decomposition(reflect_decomposition(d))
+        for n in (96, 128):
+            p = plan_uniform(n, 0.9, d, d=256)
+            assert p.symmetrized and p.kernel == "masked_matmul"
+            assert len(p.levels) == 2 * p.N and p.m == 4 ** p.N
+            for l, lv in enumerate(p.levels):
+                want = reflected if l % 2 else t
+                assert np.array_equal(tensor_of_decomposition(lv).coeff,
+                                      want.coeff)
+            assert all(len(E) == 4 for E in p.detector.missing)
+            rng = np.random.default_rng(p.N)
+            sizes_x = rng.integers(0, 9, size=p.m)
+            sizes_y = rng.integers(0, 9, size=p.m)
+            assert np.array_equal(
+                _variance_map(p.detector.weights, sizes_x, sizes_y),
+                _swept_variance(p.detector.weights, sizes_x, sizes_y))
 
     def test_eff_at_most_one_refused(self):
         c = np.zeros((2, 2, 2, 2, 2, 2))
@@ -280,9 +329,9 @@ class TestDetect:
 
 
 def _check_subset_diag(levels, seed):
-    """The subset_diag kernel on the detector's forced digits agrees with the
-    float64 rank recursion on its executed levels and runs exactly
-    prod(rank) multiplies."""
+    """The subset_diag kernel built from the detector's omitted slots
+    agrees with the float64 rank recursion on its executed levels and runs
+    exactly prod(rank) multiplies."""
     det = _build_detector(levels)
     assert det.kind == "subset_diag"
     L = len(levels)
@@ -427,37 +476,75 @@ def _count_variance_cases():
 
 class TestCountVariance:
     @pytest.mark.parametrize("name", list(_count_variance_cases()))
-    def test_equals_the_variance_sweep(self, name):
-        """The closed form outer(sizes) * kron(K_l) equals the pair-weight
-        sweep on the same executable levels, bit for bit."""
+    def test_equals_the_variance_sweep(self, monkeypatch, name):
+        """The mask kinds keep the pair-weight matrices of their executable
+        levels; those are diagonal, and the closed form outer(sizes) *
+        kron(K_l) that _variance_map takes for them equals the sweep, bit
+        for bit."""
         det = _build_detector(_count_variance_cases()[name])
         assert det.kind in ("masked_matmul", "subset_diag")
+        for W, d in zip(det.weights, det.levels):
+            assert np.array_equal(
+                W, _pair_weight_matrix(tensor_of_decomposition(d)).T)
         rng = np.random.default_rng(det.m)
         sizes_x = rng.integers(0, 9, size=det.m)
         sizes_y = rng.integers(0, 9, size=det.m)
-        weights = tuple(_pair_weight_matrix(tensor_of_decomposition(d)).T
-                        for d in det.levels)
-        V = det.variance(sizes_x, sizes_y)
+        ref = _swept_variance(det.weights, sizes_x, sizes_y)
+        _refuse_sweep(monkeypatch)
+        V = _variance_map(det.weights, sizes_x, sizes_y)
         assert V.dtype == np.float64
-        assert np.array_equal(V, _variance_map(weights, sizes_x, sizes_y))
+        assert np.array_equal(V, ref)
 
     def test_counts_per_level(self):
-        """sw keeps one k slot at output (0, 0) and two elsewhere, the t2112
-        surrogate one at each off cell, matmul two everywhere; all-2 counts
-        give the former matmul variance outer(sizes) * d'."""
+        """The diagonal of each level's weights counts the k slots it keeps
+        at each output cell: sw keeps one at (0, 0) and two elsewhere, the
+        t2112 surrogate one at each off cell, matmul two everywhere; all-2
+        counts give the former matmul variance outer(sizes) * d'."""
+        def counts(det):
+            return [W.diagonal().reshape(2, 2) for W in det.weights]
+
         sw, t = sw_decomposition(), t2112()
         assert np.array_equal(
-            _build_detector([sw, reflect_decomposition(sw)]).counts,
+            counts(_build_detector([sw, reflect_decomposition(sw)])),
             [[[1, 2], [2, 2]]] * 2)
         det = _build_detector([t, reflect_decomposition(t)] * 2)
-        assert np.array_equal(det.counts, [[[2, 1], [1, 2]]] * 4)
+        assert np.array_equal(counts(det), [[[2, 1], [1, 2]]] * 4)
         assert np.array_equal(
-            _build_detector([strassen_decomposition()] * 2).counts,
+            counts(_build_detector([strassen_decomposition()] * 2)),
             np.full((2, 2, 2), 2))
-        V = _count_variance(((np.full((2, 2), 2.0)),) * 3,
-                            np.arange(8), np.arange(8) + 1)
+        V = _variance_map((np.diag(np.full(4, 2.0)),) * 3,
+                          np.arange(8), np.arange(8) + 1)
         assert np.array_equal(V, np.outer(np.arange(8), np.arange(8) + 1)
                               * 8.0)
+
+    @pytest.mark.parametrize("L", (1, 2, 3, 5))
+    def test_diagonal_non_mask_level(self, monkeypatch, L):
+        """Coefficient-2 matmul is no 0/1 mask, so it detects with the rank
+        sweep; its weights are still diagonal, 4 x 2 slots a cell, and the
+        closed form equals the sweep bit for bit."""
+        det = _build_detector([_coefficient_two_matmul()] * L)
+        assert det.kind == "sweep" and det.missing == ()
+        assert all(np.array_equal(W, np.diag(np.full(4, 8.0)))
+                   for W in det.weights)
+        rng = np.random.default_rng(L)
+        sizes_x = rng.integers(0, 9, size=det.m)
+        sizes_y = rng.integers(0, 9, size=det.m)
+        ref = _swept_variance(det.weights, sizes_x, sizes_y)
+        _refuse_sweep(monkeypatch)
+        V = _variance_map(det.weights, sizes_x, sizes_y)
+        assert np.array_equal(V, ref)
+        assert np.array_equal(V, np.outer(sizes_x, sizes_y) * 8.0 ** L)
+
+    def test_non_diagonal_weights_are_swept(self):
+        """The exact one-level t2112 plan keeps off-diagonal weight, so its
+        variance map is the sweep itself."""
+        det = _build_detector([t2112()])
+        assert det.kind == "sweep"
+        (W,) = det.weights
+        assert not np.array_equal(W, np.diag(W.diagonal()))
+        sizes_x, sizes_y = np.array([3, 0]), np.array([1, 4])
+        assert np.array_equal(_variance_map(det.weights, sizes_x, sizes_y),
+                              _swept_variance(det.weights, sizes_x, sizes_y))
 
 
 class TestDetector:
@@ -501,9 +588,9 @@ class TestDetector:
         built = []
         make = solver._subset_diag_masks
 
-        def counted(forced):
-            built.append(len(forced))
-            return make(forced)
+        def counted(missing):
+            built.append(len(missing))
+            return make(missing)
 
         monkeypatch.setattr(solver, "_subset_diag_masks", counted)
         plan = plan_uniform(64, 0.8, t2112(), d=256, reps=2)

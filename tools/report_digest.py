@@ -10,8 +10,9 @@ checkout, and compare the output:
 
 The grid covers both solvers and all three kernel kinds on planted and null
 instances; rounds are capped at REPS so that null solves stay short.  Each
-grid plan prints its headline fields, its verification threshold and its
-notes, so a planner or verification change shows.  It also scores one
+grid plan prints its headline fields, the multiplies its detector plans a
+round and its rank product, its verification threshold and its notes, so
+a planner, detector or verification change shows.  It also scores one
 uniform bucket round and prints the sha256 of its bucket sums agg_x and
 agg_y, of its scores C and of its variance map V, so a change that moves
 any bit of the bucket sums or the scores shows, not only one that moves a
@@ -50,6 +51,8 @@ def solves():
             plan = plan_uniform(n, rho, decomp, d=D)
             solve = solve_uniform
         yield (f"{name} plan: kernel={plan.kernel} "
+               f"multiplies={plan.detector.multiplies} "
+               f"rank_product={plan.detector.rank_product} "
                f"N={plan.N} m={plan.m} t={plan.t} copies={plan.copies} "
                f"r={plan.r} rho_det={plan.rho_det} "
                f"detect_sigma={plan.detect_sigma} "
