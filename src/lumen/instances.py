@@ -141,7 +141,8 @@ def packed_inner(wx: np.ndarray, wy: np.ndarray, d: int) -> np.ndarray:
 @dataclass(frozen=True)
 class SplitFamily:
     """Coordinate-subset family {S1 u S2}: S1 an (r/2)-subset of the first
-    half, S2 of the second half, co-lex ordered with the S2 index fastest.
+    half, S2 of the second half, each half in lexicographic order (that of
+    itertools.combinations) and the S2 index fastest.
 
     The two-block structure is what lets bucket aggregation run as one
     half-expansion matrix product.
@@ -174,18 +175,27 @@ class SplitFamily:
         return m1 * m2
 
     def half_subsets(self):
-        """The two halves' (r/2)-subsets in co-lex order, as k x r/2 intp
-        arrays of coordinate indices."""
+        """The two halves' (r/2)-subsets in lexicographic order, as
+        k x r/2 intp arrays of coordinate indices."""
         h = self.r // 2
         return tuple(np.array(list(combinations(range(lo, hi), h)),
                               dtype=np.intp)
                      for lo, hi in ((0, self.d1), (self.d1, self.d)))
 
+    def subsets(self, idx: np.ndarray) -> np.ndarray:
+        """The family elements at indices idx, as a len(idx) x r intp array
+        of coordinates: the rows of half_subsets() that idx reads, unranked
+        one by one instead of listed whole."""
+        m2 = self.half_sizes()[1]
+        h = self.r // 2
+        return np.hstack([_unrank(idx // m2, self.d1, h),
+                          self.d1 + _unrank(idx % m2, self.d2, h)])
+
     @property
     def stride(self) -> int:
         """Family traversal step, coprime to the size and larger than the
         second-half block, so consecutive window elements use different
-        subsets on both halves.  A contiguous co-lex window would reuse one
+        subsets on both halves.  A contiguous window would reuse one
         first-half subset for a whole block, making window sums lumpy instead
         of concentrating."""
         from math import gcd
@@ -200,6 +210,30 @@ class SplitFamily:
         m1, m2 = self.half_sizes()
         total = m1 * m2
         return (offset + np.arange(m, dtype=np.int64) * self.stride) % total
+
+
+def _unrank(ranks: np.ndarray, n: int, h: int) -> np.ndarray:
+    """The h-subsets of range(n) at the given ranks of their lexicographic
+    order, as a len(ranks) x h intp array.
+
+    Element p of a subset is the largest c whose smaller choices, given the
+    elements before it, number at most the rank left: the subsets with
+    element p in [lo, c) number C(n - lo, h - p) - C(n - c, h - p)."""
+    # tails[k][c] = C(n - c, k) for c = 0..n, non-increasing in c
+    tails = [np.ones(n + 1, dtype=np.int64)]
+    for _ in range(h):
+        tails.append(np.append(np.cumsum(tails[-1][:0:-1])[::-1], 0))
+    out = np.empty((len(ranks), h), dtype=np.intp)
+    rest = np.asarray(ranks, dtype=np.int64)
+    lo = np.zeros(len(ranks), dtype=np.int64)
+    for p in range(h):
+        tail = tails[h - p]
+        need = tail[lo] - rest
+        c = n - np.searchsorted(tail[::-1], need)
+        rest = tail[c] - need
+        out[:, p] = c
+        lo = c + 1
+    return out
 
 
 def default_subset_size(d: int, rho: float, needed: int) -> int:
@@ -219,11 +253,46 @@ def default_subset_size(d: int, rho: float, needed: int) -> int:
             raise ValueError(f"family of d={d} too small for {needed} coordinates")
 
 
+def _pieces(v: np.ndarray):
+    """(first, end, step) of each maximal piece of the index vector v that
+    advances by one step, taken greedily from the front: a piece starting
+    at a runs to the last element of the run of equal steps holding
+    v[a + 1] - v[a]."""
+    step = np.diff(v)
+    # the last element of each run of equal steps
+    ends = np.append(np.flatnonzero(np.diff(step)) + 1, len(v) - 1)
+    steps, a = step.tolist(), 0
+    for e in ends.tolist():
+        if e > a:
+            yield a, e + 1, steps[a]
+            a = e + 1
+    if a < len(v):
+        yield a, len(v), 0
+
+
 def subset_parities(bits: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """n x k {0,1} parities of the k column subsets in the k x h index array
     cols: entry (i, s) is the XOR of bits[i, cols[s]], the bit form of the
-    +-1 product over subset s."""
-    return np.bitwise_xor.reduce(np.take(bits, cols.T, axis=1), axis=1)
+    +-1 product over subset s.
+
+    Each member column cols[:, j] is cut, in one np.diff pass, into maximal
+    pieces that advance by one step; a piece is one strided slice of bits
+    (a step-0 piece one column, broadcast) copied or XORed into place.  A
+    split family window's members mostly advance by 1 or stay put, so its
+    few pieces copy whole runs of columns instead of gathering bytes."""
+    k, h = cols.shape
+    if k == 0 or h == 0:
+        return np.zeros((bits.shape[0], k), dtype=bits.dtype)
+    out = np.empty((bits.shape[0], k), dtype=bits.dtype)
+    for j, v in enumerate(cols.T):
+        for a, b, s in _pieces(v):
+            c = int(v[a])
+            piece = bits[:, c:c + 1] if s == 0 else bits[:, c::s][:, :b - a]
+            if j:
+                out[:, a:b] ^= piece
+            else:
+                out[:, a:b] = piece
+    return out
 
 
 def expand_vectors(bits: np.ndarray, r: int, m: int,
@@ -232,17 +301,15 @@ def expand_vectors(bits: np.ndarray, r: int, m: int,
 
     Entry S of the expanded +-1 vector is the coordinate product over S; in
     bit form that is the XOR of the member bits, read straight from the
-    window's m x r coordinate columns.  The window starts at field `offset`
-    (wrapping around the family) so repeated detection rounds can use fresh,
-    pairwise-independent coordinates.
+    window's m x r coordinate columns, which are unranked from the window's
+    indices.  The window starts at field `offset` (wrapping around the
+    family) so repeated detection rounds can use fresh, pairwise-independent
+    coordinates.
     """
     fam = SplitFamily(bits.shape[1], r)
     if m > fam.size:
         raise ValueError(f"asked for {m} coordinates, family has {fam.size}")
-    s1, s2 = fam.half_subsets()
-    idx = fam.window(m, offset)
-    return subset_parities(bits, np.hstack([s1[idx // len(s2)],
-                                            s2[idx % len(s2)]]))
+    return subset_parities(bits, fam.subsets(fam.window(m, offset)))
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,16 @@ built on the first apply.  The masked_matmul kernel (any other mask, as
 sw's; an exact matmul level omits no slot) expands the omitted slots by
 inclusion-exclusion into signed BLAS products over fixed-digit sub-blocks,
 and is one A @ B.T for matmul.  Other levels run the rank recursion.
+
+When every W_l is diagonal, a round flags its cells without the m x m
+variance map: detect screens C one block of rows at a time with the float32
+test C^2 > f32(sizes_x KA) * f32(sizes_y KB sigma^2 (1 - 1e-5)), KA and KB
+the detector's two half-Kronecker factors, and scores only the cells that
+pass, by the float64 |C| / sqrt(V) of the whole map.  Both float32 sides
+are within about 2e-7 of their exact values (C, the sizes times KA and
+times KB are integers below 2^24), far inside the 1e-5 margin, so the
+flags, scores and order are those of the whole map, which
+detect(..., return_scores=True) still builds.
 """
 
 from __future__ import annotations
@@ -125,6 +135,12 @@ class Detector:
             return math.prod(d.shape.q_i * d.shape.q_k * d.shape.q_j + len(E)
                              for d, E in zip(self.levels, self.missing))
         return math.prod(d.rank for d in self.levels)
+
+    @cached_property
+    def factors(self):
+        """The half-Kronecker factors (KA, KB) of the variance map when
+        every W_l is diagonal, else None; built on the first round."""
+        return _half_factors(self.weights)
 
     @cached_property
     def masks(self) -> tuple:
@@ -512,6 +528,32 @@ def _apply_masked_matmul(shapes, missing, A, B,
     return C
 
 
+def _half_factors(weights):
+    """(KA, KB) when every transposed pair-weight matrix in weights is
+    diagonal, else None: the Kronecker products of the q x q diagonals K_l
+    of the first and of the second half of the levels, so that the
+    variance of cell (I, J) = ((ia, ib), (ja, jb)) is
+    sizes_x[I] KA[ia, ja] sizes_y[J] KB[ib, jb]."""
+    if not all(np.array_equal(W, np.diag(W.diagonal())) for W in weights):
+        return None
+    qs = [math.isqrt(W.shape[0]) for W in weights]
+    counts = [W.diagonal().reshape(q, q) for W, q in zip(weights, qs)]
+    h = len(counts) // 2
+    return (reduce(np.kron, counts[:h], np.ones((1, 1))),
+            reduce(np.kron, counts[h:], np.ones((1, 1))))
+
+
+def _half_products(factors, sizes_x, sizes_y):
+    """The float64 products sizes_x[I] KA[ia, ja], as an a x b x a2 array,
+    and sizes_y[J] KB[ib, jb], as b x a2 x b2: the variance of cell
+    ((ia, ib), (ja, jb)) is the first at [ia, ib, ja] times the second at
+    [ib, ja, jb]."""
+    KA, KB = factors
+    (a, a2), (b, b2) = KA.shape, KB.shape
+    return (sizes_x.reshape(a, b, 1) * KA.reshape(a, 1, a2),
+            sizes_y.reshape(1, a2, b2) * KB.reshape(b, 1, b2))
+
+
 def _variance_map(weights, sizes_x, sizes_y) -> np.ndarray:
     """Exact realized-size variance of every output cell.
 
@@ -519,22 +561,59 @@ def _variance_map(weights, sizes_x, sizes_y) -> np.ndarray:
     over the transposed per-level (q^2 x q^2) transfer matrices in weights.
     Levels are square (q_i = q_j), as the m x m bucket grid is.  When every
     w_l is diagonal, var = outer(sizes_x, sizes_y) * (K_1 kron ... kron K_L)
-    with K_l the q x q diagonal of w_l, built from two half-Kronecker
-    factors so that no m x m array besides var is made.  Otherwise the
-    matrices are swept over the interleaved outer product of the sizes.
+    with K_l the q x q diagonal of w_l, built from the two half-Kronecker
+    factors of _half_factors so that no m x m array besides var is made.
+    Otherwise the matrices are swept over the interleaved outer product of
+    the sizes.
     """
-    qs = [math.isqrt(W.shape[0]) for W in weights]
-    if not all(np.array_equal(W, np.diag(W.diagonal())) for W in weights):
+    factors = _half_factors(weights)
+    if factors is None:
+        qs = [math.isqrt(W.shape[0]) for W in weights]
         sizes = _interleave(np.outer(sizes_x, sizes_y), qs, qs, np.float64)
         return _uninterleave(_sweep(sizes, weights), qs, qs)
-    counts = [W.diagonal().reshape(q, q) for W, q in zip(weights, qs)]
-    h = len(counts) // 2
-    KA = reduce(np.kron, counts[:h], np.ones((1, 1)))
-    KB = reduce(np.kron, counts[h:], np.ones((1, 1)))
-    (a, a2), (b, b2) = KA.shape, KB.shape
-    rows = sizes_x.reshape(a, b, 1, 1) * KA.reshape(a, 1, a2, 1)
-    cols = sizes_y.reshape(1, 1, a2, b2) * KB.reshape(1, b, 1, b2)
-    return (rows * cols).reshape(a * b, a2 * b2)
+    rows, cols = _half_products(factors, sizes_x, sizes_y)
+    (a, b, a2), b2 = rows.shape, cols.shape[2]
+    return (rows[:, :, :, None] * cols).reshape(a * b, a2 * b2)
+
+
+def _flag_cells(C, factors, sizes_x, sizes_y, sigma: float) -> list:
+    """The (I, J, score) of every cell whose score |C| / sqrt(V) reaches
+    sigma > 0, in row-major order, V the closed-form variance map of the
+    half factors: the flags of the whole float64 score map, without it.
+
+    C is screened one block of rows at a time, one block per row ia of KA,
+    by the float32 test C^2 > f32(sx KA) * f32(sy KB sigma^2 (1 - 1e-5)),
+    and only the cells that pass are scored, by the float64 expression of
+    the whole map.  The test keeps every flagged cell: C is an integer
+    below 2^24, so C^2 is exact to 2^-24 in float32, and sx KA and sy KB
+    are integers below 2^24, so the float32 right-hand side, rounded three
+    times, is within about 2e-7 of sigma^2 V (1 - 1e-5).  Both errors are
+    relative, so they hold for any operands in float32's normal range, and
+    lie far inside the 1e-5 margin.  The test is strict, so a cell with
+    V = 0 (an empty bucket) passes only if C != 0, and its non-finite score
+    never flags.
+    """
+    rows, cols = _half_products(factors, sizes_x, sizes_y)
+    (a, b, a2), b2 = rows.shape, cols.shape[2]
+    rows32 = rows.astype(np.float32)[:, :, :, None]
+    cols32 = (cols * (sigma * sigma * (1 - 1e-5))).astype(np.float32)
+    square = np.empty_like(cols32)
+    bound = np.empty_like(cols32)
+    passed = np.empty(cols32.shape, dtype=bool)
+    cells = []
+    for ia, block in enumerate(C.reshape(a, b, a2, b2)):
+        np.multiply(block, block, out=square)
+        np.multiply(rows32[ia], cols32, out=bound)
+        np.greater(square, bound, out=passed)
+        cells.append(np.flatnonzero(passed) + ia * passed.size)
+    cells = np.concatenate(cells)       # I m + J, ascending
+    ia, ib, ja, jb = np.unravel_index(cells, (a, b, a2, b2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = (np.abs(C.reshape(-1)[cells])
+                 / np.sqrt(rows[ia, ib, ja] * cols[ib, ja, jb]))
+    keep = np.isfinite(score) & (score >= sigma)
+    I, J = np.divmod(cells[keep], a2 * b2)
+    return list(zip(I.tolist(), J.tolist(), score[keep].tolist()))
 
 
 def _phi(x: float) -> float:
@@ -792,13 +871,19 @@ def detect(state: BucketState, plan: SolverPlan,
     """Score every bucket pair and flag |C|/sigma above the plan threshold.
 
     sigma is the square root of the realized-size variance map; cells with
-    zero variance never flag.
+    zero variance never flag.  When every W_l is diagonal and no scores are
+    asked for, _flag_cells screens C a block of rows at a time and returns
+    the same flags; otherwise the whole float64 score map is built, and
+    return_scores returns it with C and V.
     """
     A = state.agg_x * state.signs_x[:, None]
     B = state.agg_y * state.signs_y[:, None]
     C = plan.detector.apply(A, B, counter=counter)
-    V = _variance_map(plan.detector.weights, np.diff(state.index_x[1]),
-                      np.diff(state.index_y[1]))
+    sizes_x, sizes_y = np.diff(state.index_x[1]), np.diff(state.index_y[1])
+    factors = plan.detector.factors
+    if not return_scores and factors is not None and plan.detect_sigma > 0:
+        return _flag_cells(C, factors, sizes_x, sizes_y, plan.detect_sigma)
+    V = _variance_map(plan.detector.weights, sizes_x, sizes_y)
     with np.errstate(divide="ignore", invalid="ignore"):
         score = np.abs(C) / np.sqrt(V)
     score[~np.isfinite(score)] = 0.0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lumen.efficacy import rho_joint_matrix
-from lumen.instances import (Instance, SplitFamily, check_vn,
+from lumen.instances import (Instance, SplitFamily, _pieces, check_vn,
                              default_subset_size, expand_vectors, gen_planted,
                              gen_planted_p, map_to_pm1, pack_bits,
                              packed_inner, read_instance, sidecar_path,
@@ -95,8 +95,9 @@ class TestPackedArithmetic:
 
 class TestExpansion:
     def test_hand_computed_split_products(self):
-        # x = (+1, +1, -1, +1) -> bits (0, 0, 1, 0); split pairs in co-lex
-        # order with the second half fastest: (0,2), (0,3), (1,2), (1,3)
+        # x = (+1, +1, -1, +1) -> bits (0, 0, 1, 0); split pairs in
+        # lexicographic order with the second half fastest: (0,2), (0,3),
+        # (1,2), (1,3)
         bits = np.array([[0, 0, 1, 0]], dtype=np.uint8)
         out = expand_vectors(bits, 2, 4)
         signs = 1 - 2 * out.astype(int)
@@ -163,6 +164,63 @@ class TestExpansion:
                 for c in cols[s]:
                     want ^= int(bits[i, c])
                 assert got[i, s] == want, (i, s)
+
+    @pytest.mark.parametrize("d, r", [(64, 2), (33, 2), (64, 4), (41, 4),
+                                      (24, 6), (27, 6)])
+    def test_piece_gather_equals_take_reference(self, d, r):
+        """The piece gather over unranked window columns equals the byte
+        gather np.take over the window's rows of the full half listing, on
+        windows that start anywhere, wrap past the end of the family, and
+        cover it whole."""
+        rng = np.random.default_rng(d * r)
+        bits = rng.integers(0, 2, size=(7, d), dtype=np.uint8)
+        fam = SplitFamily(d, r)
+        s1, s2 = fam.half_subsets()
+        for m, offset in ((fam.size, 0), (fam.size, fam.size - 1),
+                          (min(fam.size, 700), fam.size - 40),
+                          (fam.size // 3, 2 * fam.size + 5), (1, 3)):
+            idx = fam.window(m, offset)
+            cols = np.hstack([s1[idx // len(s2)], s2[idx % len(s2)]])
+            assert np.array_equal(fam.subsets(idx), cols)
+            want = np.bitwise_xor.reduce(np.take(bits, cols.T, axis=1),
+                                         axis=1)
+            assert np.array_equal(expand_vectors(bits, r, m, offset), want)
+
+    @pytest.mark.parametrize("d, r", [(8, 2), (9, 2), (12, 4), (13, 4),
+                                      (14, 6), (20, 8)])
+    def test_unranked_subsets_are_the_listing(self, d, r):
+        """subsets(idx) unranks exactly the rows of the full half listing,
+        which is lexicographic: SplitFamily(8, 4)'s first half starts
+        [0, 1], [0, 2], [0, 3], [1, 2]."""
+        fam = SplitFamily(d, r)
+        s1, s2 = fam.half_subsets()
+        full = np.array([list(a) + list(b) for a in s1 for b in s2])
+        assert np.array_equal(fam.subsets(np.arange(fam.size)), full)
+        assert [list(c) for c in combinations(range(fam.d1), r // 2)] \
+            == s1.tolist()
+        assert SplitFamily(8, 4).half_subsets()[0][:4].tolist() == [
+            [0, 1], [0, 2], [0, 3], [1, 2]]
+
+    def test_pieces_of_every_step(self):
+        """A member column is cut greedily into maximal constant-step
+        pieces, step 0 included, and any column gives the np.take parity:
+        steps 1, 0, 2, -1 and -6, a single last element, and repeats."""
+        v = np.array([3, 3, 3, 4, 5, 6, 6, 0, 2, 4, 6, 9, 8, 7, 7, 1])
+        assert list(_pieces(v)) == [(0, 3, 0), (3, 6, 1), (6, 8, -6),
+                                    (8, 11, 2), (11, 14, -1), (14, 16, -6)]
+        assert list(_pieces(np.array([5]))) == [(0, 1, 0)]
+        assert list(_pieces(np.array([0, 1, 2, 5]))) == [(0, 3, 1),
+                                                         (3, 4, 0)]
+        assert list(_pieces(np.array([0, 0, 0, 1, 1, 1]))) == [
+            (0, 3, 0), (3, 6, 0)]
+        rng = np.random.default_rng(12)
+        bits = rng.integers(0, 2, size=(5, 10), dtype=np.uint8)
+        cols = np.stack([v, v[::-1], np.sort(v) % 10], axis=1)
+        want = np.bitwise_xor.reduce(np.take(bits, cols.T, axis=1), axis=1)
+        assert np.array_equal(subset_parities(bits, cols), want)
+        for k, h in ((0, 2), (4, 0)):
+            out = subset_parities(bits, np.zeros((k, h), dtype=np.intp))
+            assert out.shape == (5, k) and not out.any()
 
     def test_family_size_guard(self):
         bits = np.zeros((1, 8), dtype=np.uint8)

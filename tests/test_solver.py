@@ -671,6 +671,119 @@ class TestVarianceMap:
         assert np.allclose(V, ref, rtol=1e-12, atol=0.0)
 
 
+def _refuse_variance_map(*args):
+    raise AssertionError("the flag pass built the variance map")
+
+
+def _flag_round(name, seed):
+    """A plan and one bucket round of it for each detector the flag pass
+    sees: both mask kernels, a diagonal non-mask sweep level, an odd level
+    count (unequal half factors), the exact non-diagonal t2112 level, and
+    a hashing round whose empty buckets give V = 0 cells."""
+    n, dim, rho = 128, 256, 0.8
+    inst = gen_planted(n, dim, rho, seed=950 + seed)
+    if name == "sw-lsh":
+        qp = t2112_flip_pair(0.6)
+        plan = plan_lsh(n, rho_joint_matrix(0.6), sw_decomposition(), qp,
+                        d=dim)
+        stay_x, stay_y = qp.Q_x[:, 0], qp.Q_y[:, 0]
+        L, rng = 2 * plan.N, np.random.default_rng(seed)
+        mem_x = _lsh_memberships(inst.X[:, :L], [stay_x, stay_y] * plan.N,
+                                 plan.copies, rng)
+        mem_y = _lsh_memberships(inst.Y[:, :L], [stay_y, stay_x] * plan.N,
+                                 plan.copies, rng)
+        return plan, _bucket_state(inst.X, inst.Y, mem_x, mem_y, plan, 0, rng)
+    levels = {"t2112": None, "strassen": None,
+              "sw-L5": [sw_decomposition()] * 5,
+              "coefficient-two-L4": [_coefficient_two_matmul()] * 4,
+              "t2112-exact-L3": [t2112_decomposition(0.5, warn=False)] * 3,
+              }[name]
+    base = {"t2112": t2112}.get(name, strassen_decomposition)()
+    plan = plan_uniform(n, rho, base, d=dim)
+    if levels is not None:
+        plan = dataclasses.replace(plan, detector=_build_detector(levels))
+    return plan, bucket_uniform(inst, plan, np.random.default_rng(seed))
+
+
+class TestFlagPass:
+    @pytest.mark.parametrize("name, kind", [
+        ("t2112", "subset_diag"), ("strassen", "masked_matmul"),
+        ("sw-lsh", "masked_matmul"), ("sw-L5", "masked_matmul"),
+        ("coefficient-two-L4", "sweep")])
+    def test_equals_the_scored_flags(self, monkeypatch, name, kind):
+        """With diagonal weights detect screens C a block of rows at a time
+        and never builds the variance map, yet returns the flags of the
+        whole float64 score map: the same cells, scores and row-major
+        order, at the plan's sigma and at sigmas off SIGMA_CANDIDATES."""
+        for seed in range(3):
+            plan, st = _flag_round(name, seed)
+            assert plan.kernel == kind and plan.detector.factors is not None
+            if name == "sw-lsh":
+                assert (np.diff(st.index_x[1]) == 0).any()
+                assert (np.diff(st.index_y[1]) == 0).any()
+            for sigma in (plan.detect_sigma, 3.3, 2.05):
+                plan.detect_sigma = sigma
+                want, score, _, _ = detect(st, plan, return_scores=True)
+                with monkeypatch.context() as mp:
+                    mp.setattr(solver, "_variance_map", _refuse_variance_map)
+                    got = detect(st, plan)
+                assert got == want
+                assert all(s == score[i, j] for i, j, s in got)
+                if sigma == 2.05:
+                    assert got
+
+    def test_non_diagonal_plan_scores_the_whole_map(self, monkeypatch):
+        """The exact t2112 levels keep off-diagonal pair weight, so they
+        have no half factors and detect takes the whole-map path."""
+        plan, st = _flag_round("t2112-exact-L3", 0)
+        assert plan.kernel == "sweep" and plan.detector.factors is None
+        plan.detect_sigma = 2.05
+        want = detect(st, plan, return_scores=True)[0]
+
+        def refuse(*args):
+            raise AssertionError("non-diagonal weights took the flag pass")
+
+        monkeypatch.setattr(solver, "_flag_cells", refuse)
+        assert detect(st, plan) == want and want
+
+    def test_exact_tie_flags_and_zero_variance_never_flags(self):
+        """|C| = 7 over V = 4 is exactly sigma = 3.5 and flags on both
+        paths; a nonzero C over V = 0 scores inf and flags on neither; one
+        matmul level keeps two k slots a cell, so V = 2 sizes_x sizes_y."""
+        plan = plan_uniform(128, 0.9, strassen_decomposition(), d=256)
+        plan = dataclasses.replace(
+            plan, detector=_build_detector([strassen_decomposition()]),
+            detect_sigma=3.5)
+        index_x = (np.array([0, 1, 2]), np.array([0, 2, 3]))     # sizes 2, 1
+        index_y = (np.array([0]), np.array([0, 1, 1]))           # sizes 1, 0
+        agg_x = np.array([[3, 2], [1, 1]], np.float32)
+        agg_y = np.array([[1, 2], [3, 3]], np.float32)
+        ones = np.ones(2, np.float32)
+        st = BucketState(np.zeros((3, 1), int), np.zeros((1, 1), int),
+                         index_x, index_y, agg_x, agg_y, ones, ones)
+        want, score, C, V = detect(st, plan, return_scores=True)
+        assert C[0, 0] == 7 and V[0, 0] == 4 and V[0, 1] == 0 != C[0, 1]
+        assert want == [(0, 0, 3.5)] == detect(st, plan)
+
+    def test_factors_built_once(self, monkeypatch):
+        """The half factors are built on the first round of a plan and
+        reused by later rounds and solves."""
+        built = []
+        make = solver._half_factors
+
+        def counted(weights):
+            built.append(len(weights))
+            return make(weights)
+
+        monkeypatch.setattr(solver, "_half_factors", counted)
+        plan = plan_uniform(64, 0.8, strassen_decomposition(), d=256, reps=2)
+        assert built == []
+        inst = gen_planted(64, 256, 0.8, seed=14, planted=False)
+        assert solve_uniform(inst, None, plan=plan, seed=0).rounds_run == 2
+        solve_uniform(inst, None, plan=plan, seed=1)
+        assert built == [plan.N]
+
+
 def _verify(inst, pairs, plan):
     keys = [a * inst.n + b for a, b in pairs]
     return verify_candidates(inst, keys, plan, pack_bits(inst.X),

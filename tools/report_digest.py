@@ -16,7 +16,10 @@ a planner, detector or verification change shows.  It also scores one
 uniform bucket round and prints the sha256 of its bucket sums agg_x and
 agg_y, of its scores C and of its variance map V, so a change that moves
 any bit of the bucket sums or the scores shows, not only one that moves a
-flag.
+flag.  It also prints the sha256 of repr() of the round's flags from
+detect's default path, which screens the scores without building the whole
+map where it can, so a change to that path shows even where no solve's
+report moves.
 """
 
 import dataclasses
@@ -63,11 +66,13 @@ def solves():
         inst = gen_planted(n, D, rho, seed=900)
         state = bucket_uniform(inst, plan, 0)
         _, _, C, V = detect(state, plan, return_scores=True)
+        flags = repr(detect(state, plan))
         yield (f"{name} round: kernel={plan.kernel} "
                f"agg_x={hashlib.sha256(state.agg_x.tobytes()).hexdigest()} "
                f"agg_y={hashlib.sha256(state.agg_y.tobytes()).hexdigest()} "
                f"C={hashlib.sha256(C.tobytes()).hexdigest()} "
-               f"V={hashlib.sha256(V.tobytes()).hexdigest()}")
+               f"V={hashlib.sha256(V.tobytes()).hexdigest()} "
+               f"flags={hashlib.sha256(flags.encode()).hexdigest()}")
         for planted in (True, False):
             for seed in SEEDS:
                 inst = gen_planted(n, D, rho, seed=900 + seed, planted=planted)
