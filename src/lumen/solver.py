@@ -21,10 +21,7 @@ the unit-term decomposition of their expanded tensor (dropping coefficients
 whose total variance share is negligible, checked and recorded on the plan).
 A level is then described by its pair-weight matrix W_l and, when it is a
 unit-coefficient subset of matmul (a 0/1 mask over the matmul slots), by
-the slots E_l it omits.  The variance map reads only the W_l: it is closed
-form, outer(sizes_x, sizes_y) times the Kronecker product of the diagonals
-of the W_l, exactly when every W_l is diagonal, as every mask level's is,
-and a pair-weight sweep otherwise.  When every executable level is a mask,
+the slots E_l it omits.  When every executable level is a mask,
 detection runs one of two mask kernels.  The subset_diag kernel (levels
 whose E_l is one slot at each off cell and none on the diagonal, as the
 t2112 surrogate's is) runs each off-digit mask as one einsum over strided
@@ -35,15 +32,16 @@ sw's; an exact matmul level omits no slot) expands the omitted slots by
 inclusion-exclusion into signed BLAS products over fixed-digit sub-blocks,
 and is one A @ B.T for matmul.  Other levels run the rank recursion.
 
-When every W_l is diagonal, a round flags its cells without the m x m
-variance map: detect screens C one block of rows at a time with the float32
-test C^2 > f32(sizes_x KA) * f32(sizes_y KB sigma^2 (1 - 1e-5)), KA and KB
-the detector's two half-Kronecker factors, and scores only the cells that
-pass, by the float64 |C| / sqrt(V) of the whole map.  Both float32 sides
-are within about 2e-7 of their exact values (C, the sizes times KA and
-times KB are integers below 2^24), far inside the 1e-5 margin, so the
-flags, scores and order are those of the whole map, which
-detect(..., return_scores=True) still builds.
+The variance reads only the W_l; it has one closed form and one oracle.  When
+every W_l is diagonal, as every mask level's is, _flag_cells flags a round
+without any m x m float64 array: V = sizes_x[I] KA[ia, ja] sizes_y[J]
+KB[ib, jb], KA and KB the Kronecker products of the diagonals of the two
+halves of the W_l, and C is screened a block of rows at a time by a float32
+test with a 1e-5 margin, far wider than its error, before the cells that
+pass are scored by the float64 |C| / sqrt(V).  _variance_map sweeps any
+W_l over the outer product of the bucket sizes; it scores the rounds of
+non-diagonal plans, and detect(..., return_scores=True) builds every
+plan's whole score map over it, the oracle of _flag_cells.
 """
 
 from __future__ import annotations
@@ -106,7 +104,7 @@ class Detector:
     executable per-level decompositions and rank_product the paper's
     prod(rank_l) over the planned ones.  dropped_var is the largest
     variance share a surrogate level dropped.  Every kind keeps weights,
-    the transposed pair-weight matrices W_l that _variance_map reads; the
+    the transposed pair-weight matrices W_l that the variance reads; the
     mask kinds keep missing, each level's omitted (i, k, j) slots E_l, from
     which their kernels are built.
     """
@@ -138,8 +136,9 @@ class Detector:
 
     @cached_property
     def factors(self):
-        """The half-Kronecker factors (KA, KB) of the variance map when
-        every W_l is diagonal, else None; built on the first round."""
+        """The half-Kronecker factors (KA, KB) of _flag_cells' closed-form
+        variance when every W_l is diagonal, else None; built on the first
+        round that flags."""
         return _half_factors(self.weights)
 
     @cached_property
@@ -543,58 +542,44 @@ def _half_factors(weights):
             reduce(np.kron, counts[h:], np.ones((1, 1))))
 
 
-def _half_products(factors, sizes_x, sizes_y):
-    """The float64 products sizes_x[I] KA[ia, ja], as an a x b x a2 array,
-    and sizes_y[J] KB[ib, jb], as b x a2 x b2: the variance of cell
-    ((ia, ib), (ja, jb)) is the first at [ia, ib, ja] times the second at
-    [ib, ja, jb]."""
-    KA, KB = factors
-    (a, a2), (b, b2) = KA.shape, KB.shape
-    return (sizes_x.reshape(a, b, 1) * KA.reshape(a, 1, a2),
-            sizes_y.reshape(1, a2, b2) * KB.reshape(b, 1, b2))
-
-
 def _variance_map(weights, sizes_x, sizes_y) -> np.ndarray:
-    """Exact realized-size variance of every output cell.
+    """Exact realized-size variance of every output cell, by the sweep.
 
     var[I,J] = sum_{ia,jb} prod_l w_l[(ia_l,jb_l),(I_l,J_l)] |X_ia| |Y_jb|
-    over the transposed per-level (q^2 x q^2) transfer matrices in weights.
-    Levels are square (q_i = q_j), as the m x m bucket grid is.  When every
-    w_l is diagonal, var = outer(sizes_x, sizes_y) * (K_1 kron ... kron K_L)
-    with K_l the q x q diagonal of w_l, built from the two half-Kronecker
-    factors of _half_factors so that no m x m array besides var is made.
-    Otherwise the matrices are swept over the interleaved outer product of
-    the sizes.
+    over the transposed per-level (q^2 x q^2) transfer matrices in weights,
+    swept over the interleaved outer product of the sizes, diagonal or not.
+    Levels are square (q_i = q_j), as the m x m bucket grid is.  It is the
+    variance of non-diagonal plans and, sharing no code with _flag_cells,
+    the oracle of its closed form.
     """
-    factors = _half_factors(weights)
-    if factors is None:
-        qs = [math.isqrt(W.shape[0]) for W in weights]
-        sizes = _interleave(np.outer(sizes_x, sizes_y), qs, qs, np.float64)
-        return _uninterleave(_sweep(sizes, weights), qs, qs)
-    rows, cols = _half_products(factors, sizes_x, sizes_y)
-    (a, b, a2), b2 = rows.shape, cols.shape[2]
-    return (rows[:, :, :, None] * cols).reshape(a * b, a2 * b2)
+    qs = [math.isqrt(W.shape[0]) for W in weights]
+    sizes = _interleave(np.outer(sizes_x, sizes_y), qs, qs, np.float64)
+    return _uninterleave(_sweep(sizes, weights), qs, qs)
 
 
 def _flag_cells(C, factors, sizes_x, sizes_y, sigma: float) -> list:
     """The (I, J, score) of every cell whose score |C| / sqrt(V) reaches
-    sigma > 0, in row-major order, V the closed-form variance map of the
-    half factors: the flags of the whole float64 score map, without it.
+    sigma > 0, in row-major order: the flags of the whole float64 score
+    map, without it.  V is the closed form of the half factors (KA, KB):
+    cell ((ia, ib), (ja, jb)) has V = rows[ia, ib, ja] cols[ib, ja, jb],
+    with the float64 rows = sizes_x[I] KA[ia, ja] and cols = sizes_y[J]
+    KB[ib, jb].
 
     C is screened one block of rows at a time, one block per row ia of KA,
-    by the float32 test C^2 > f32(sx KA) * f32(sy KB sigma^2 (1 - 1e-5)),
-    and only the cells that pass are scored, by the float64 expression of
-    the whole map.  The test keeps every flagged cell: C is an integer
-    below 2^24, so C^2 is exact to 2^-24 in float32, and sx KA and sy KB
-    are integers below 2^24, so the float32 right-hand side, rounded three
-    times, is within about 2e-7 of sigma^2 V (1 - 1e-5).  Both errors are
-    relative, so they hold for any operands in float32's normal range, and
-    lie far inside the 1e-5 margin.  The test is strict, so a cell with
-    V = 0 (an empty bucket) passes only if C != 0, and its non-finite score
-    never flags.
+    by the float32 test C^2 > f32(rows) * f32(cols sigma^2 (1 - 1e-5)),
+    and only the cells that pass are scored, by the float64 |C| / sqrt(V).
+    The test keeps every flagged cell: C is an integer below 2^24, so C^2
+    is exact to 2^-24 in float32, and rows and cols are integers below
+    2^24, so the float32 right-hand side, rounded three times, is within
+    about 2e-7 of sigma^2 V (1 - 1e-5).  Both errors are relative, so they
+    hold for any operands in float32's normal range, and lie far inside the
+    1e-5 margin.  The test is strict, so a cell with V = 0 (an empty
+    bucket) passes only if C != 0, and its non-finite score never flags.
     """
-    rows, cols = _half_products(factors, sizes_x, sizes_y)
-    (a, b, a2), b2 = rows.shape, cols.shape[2]
+    KA, KB = factors
+    (a, a2), (b, b2) = KA.shape, KB.shape
+    rows = sizes_x.reshape(a, b, 1) * KA.reshape(a, 1, a2)
+    cols = sizes_y.reshape(1, a2, b2) * KB.reshape(b, 1, b2)
     rows32 = rows.astype(np.float32)[:, :, :, None]
     cols32 = (cols * (sigma * sigma * (1 - 1e-5))).astype(np.float32)
     square = np.empty_like(cols32)
@@ -687,6 +672,7 @@ def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int,
 
     best = None
     fallback = None
+    expansion = ""        # why the last N that could not expand failed
     N = 1
     while rank_lvl ** (N) <= RANK_BUDGET and N * len(base_levels) <= LEVEL_BUDGET:
         m = q_lvl ** N
@@ -694,7 +680,8 @@ def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int,
         # expansion comes per candidate N: coordinates per round
         try:
             r = default_subset_size(d, rho, qk_lvl ** N * (reps + 1))
-        except ValueError:
+        except ValueError as err:
+            expansion = f": {err}"
             N += 1
             continue
         rho_det = rho ** r
@@ -723,7 +710,7 @@ def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int,
         if fallback is None:
             raise PlanError(
                 f"no runnable configuration for n={n}, rho={rho} within the "
-                f"rank budget")
+                f"rank budget{expansion}")
         best = fallback
     p, sigma, t_copies, r, rho_det, N = best
     _require_verifiable(rho, d, reps)
@@ -870,19 +857,21 @@ def detect(state: BucketState, plan: SolverPlan,
             return_scores: bool = False):
     """Score every bucket pair and flag |C|/sigma above the plan threshold.
 
-    sigma is the square root of the realized-size variance map; cells with
-    zero variance never flag.  When every W_l is diagonal and no scores are
-    asked for, _flag_cells screens C a block of rows at a time and returns
-    the same flags; otherwise the whole float64 score map is built, and
-    return_scores returns it with C and V.
+    sigma is the square root of the realized-size variance; cells with zero
+    variance never flag.  When every W_l is diagonal and no scores are
+    asked for, _flag_cells flags C by the closed form; otherwise the whole
+    float64 score map is built over the swept _variance_map, the oracle,
+    and return_scores returns it with C and V without the half factors.
     """
     A = state.agg_x * state.signs_x[:, None]
     B = state.agg_y * state.signs_y[:, None]
     C = plan.detector.apply(A, B, counter=counter)
     sizes_x, sizes_y = np.diff(state.index_x[1]), np.diff(state.index_y[1])
-    factors = plan.detector.factors
-    if not return_scores and factors is not None and plan.detect_sigma > 0:
-        return _flag_cells(C, factors, sizes_x, sizes_y, plan.detect_sigma)
+    if not return_scores and plan.detect_sigma > 0:
+        factors = plan.detector.factors
+        if factors is not None:
+            return _flag_cells(C, factors, sizes_x, sizes_y,
+                               plan.detect_sigma)
     V = _variance_map(plan.detector.weights, sizes_x, sizes_y)
     with np.errstate(divide="ignore", invalid="ignore"):
         score = np.abs(C) / np.sqrt(V)

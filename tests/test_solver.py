@@ -89,12 +89,27 @@ def _swept_variance(weights, sizes_x, sizes_y):
     return _uninterleave(_sweep(sizes, weights), qs, qs)
 
 
-def _refuse_sweep(monkeypatch):
-    """Make the closed form the only way _variance_map can answer."""
+def _closed_form(monkeypatch, det, sizes_x, sizes_y, ref):
+    """The closed form where it lives, with the sweep refused: the
+    Detector.factors product outer(sizes_x, sizes_y) * kron(KA, KB) equals
+    the swept ref bit for bit, and _flag_cells, at a sigma that every
+    nonzero cell clears, flags exactly the cells of nonzero ref, in
+    row-major order, each scored |C| / sqrt(ref).  Returns the product."""
     def refuse(vec, mats):
         raise AssertionError("diagonal weights were swept")
 
     monkeypatch.setattr(solver, "_sweep", refuse)
+    KA, KB = det.factors
+    V = np.outer(sizes_x, sizes_y) * np.kron(KA, KB)
+    assert V.dtype == np.float64 and np.array_equal(V, ref)
+    rng = np.random.default_rng(len(ref))
+    C = (rng.integers(1, 1000, size=ref.shape)
+         * rng.choice((-1, 1), size=ref.shape)).astype(np.float32)
+    I, J = np.nonzero(ref)
+    want = np.abs(C[I, J]) / np.sqrt(ref[I, J])
+    assert (solver._flag_cells(C, det.factors, sizes_x, sizes_y, 1e-6)
+            == list(zip(I.tolist(), J.tolist(), want.tolist())))
+    return V
 
 
 def _coefficient_two_matmul():
@@ -132,9 +147,9 @@ class TestPlanUniform:
         """A subset of matmul keeping only the i = 0 slots puts its efficacy
         in one row (V_x = |S|^2 > |S|^1.5), so the plan runs T interleaved
         with its reflection: 2N levels, alternating, 4^N buckets a side.
-        Its weights are diagonal and the closed-form variance map equals
-        the sweep.  Plan only: each level omits four slots, so one
-        masked_matmul round runs 5^(2N) BLAS products."""
+        Its weights are diagonal and the closed form of its half factors
+        equals the variance sweep.  Plan only: each level omits four slots,
+        so one masked_matmul round runs 5^(2N) BLAS products."""
         d = _keep_row_zero()
         t = tensor_of_decomposition(d)
         reflected = tensor_of_decomposition(reflect_decomposition(d))
@@ -151,8 +166,8 @@ class TestPlanUniform:
             sizes_x = rng.integers(0, 9, size=p.m)
             sizes_y = rng.integers(0, 9, size=p.m)
             assert np.array_equal(
-                _variance_map(p.detector.weights, sizes_x, sizes_y),
-                _swept_variance(p.detector.weights, sizes_x, sizes_y))
+                np.outer(sizes_x, sizes_y) * np.kron(*p.detector.factors),
+                _variance_map(p.detector.weights, sizes_x, sizes_y))
 
     def test_eff_at_most_one_refused(self):
         c = np.zeros((2, 2, 2, 2, 2, 2))
@@ -163,6 +178,14 @@ class TestPlanUniform:
         d = Decomposition(TensorShape(2, 2, 2), (Rank1Term(a, b, g),))
         with pytest.raises(PlanError):
             plan_uniform(256, 0.8, d, d=128)
+
+    def test_unexpandable_plan_names_the_cause(self):
+        """At d = 4 no subset family covers a round's coordinates at any N,
+        so no configuration runs, and the refusal says why."""
+        with pytest.raises(PlanError, match=(
+                r"^no runnable configuration for n=64, rho=0\.8 within the "
+                r"rank budget: family of d=4 too small for \d+ coordinates$")):
+            plan_uniform(64, 0.8, t2112(), d=4)
 
     @pytest.mark.parametrize("lsh", [False, True])
     @pytest.mark.parametrize("kw, why", [
@@ -479,8 +502,8 @@ class TestCountVariance:
     def test_equals_the_variance_sweep(self, monkeypatch, name):
         """The mask kinds keep the pair-weight matrices of their executable
         levels; those are diagonal, and the closed form outer(sizes) *
-        kron(K_l) that _variance_map takes for them equals the sweep, bit
-        for bit."""
+        kron(K_l) of their half factors, which _flag_cells scores by,
+        equals the sweep, bit for bit."""
         det = _build_detector(_count_variance_cases()[name])
         assert det.kind in ("masked_matmul", "subset_diag")
         for W, d in zip(det.weights, det.levels):
@@ -490,10 +513,7 @@ class TestCountVariance:
         sizes_x = rng.integers(0, 9, size=det.m)
         sizes_y = rng.integers(0, 9, size=det.m)
         ref = _swept_variance(det.weights, sizes_x, sizes_y)
-        _refuse_sweep(monkeypatch)
-        V = _variance_map(det.weights, sizes_x, sizes_y)
-        assert V.dtype == np.float64
-        assert np.array_equal(V, ref)
+        _closed_form(monkeypatch, det, sizes_x, sizes_y, ref)
 
     def test_counts_per_level(self):
         """The diagonal of each level's weights counts the k slots it keeps
@@ -521,7 +541,7 @@ class TestCountVariance:
     def test_diagonal_non_mask_level(self, monkeypatch, L):
         """Coefficient-2 matmul is no 0/1 mask, so it detects with the rank
         sweep; its weights are still diagonal, 4 x 2 slots a cell, and the
-        closed form equals the sweep bit for bit."""
+        closed form of its half factors equals the sweep bit for bit."""
         det = _build_detector([_coefficient_two_matmul()] * L)
         assert det.kind == "sweep" and det.missing == ()
         assert all(np.array_equal(W, np.diag(np.full(4, 8.0)))
@@ -530,9 +550,7 @@ class TestCountVariance:
         sizes_x = rng.integers(0, 9, size=det.m)
         sizes_y = rng.integers(0, 9, size=det.m)
         ref = _swept_variance(det.weights, sizes_x, sizes_y)
-        _refuse_sweep(monkeypatch)
-        V = _variance_map(det.weights, sizes_x, sizes_y)
-        assert np.array_equal(V, ref)
+        V = _closed_form(monkeypatch, det, sizes_x, sizes_y, ref)
         assert np.array_equal(V, np.outer(sizes_x, sizes_y) * 8.0 ** L)
 
     def test_non_diagonal_weights_are_swept(self):
@@ -745,6 +763,21 @@ class TestFlagPass:
 
         monkeypatch.setattr(solver, "_flag_cells", refuse)
         assert detect(st, plan) == want and want
+
+    @pytest.mark.parametrize("name", ["strassen", "t2112-exact-L3"])
+    def test_scores_build_no_half_factors(self, monkeypatch, name):
+        """detect(..., return_scores=True) is the oracle: it reaches neither
+        the half factors nor the flag pass, whatever the weights."""
+        plan, st = _flag_round(name, 0)
+
+        def refuse(*args):
+            raise AssertionError("the oracle reached the closed form")
+
+        monkeypatch.setattr(solver, "_half_factors", refuse)
+        monkeypatch.setattr(solver, "_flag_cells", refuse)
+        flags, score, C, V = detect(st, plan, return_scores=True)
+        assert "factors" not in vars(plan.detector)
+        assert V.shape == C.shape == (plan.m, plan.m)
 
     def test_exact_tie_flags_and_zero_variance_never_flags(self):
         """|C| = 7 over V = 4 is exactly sigma = 3.5 and flags on both
