@@ -547,8 +547,9 @@ def typeclass_capacity(table: np.ndarray, N: int):
     Cells of the q x q table are grouped by (value, multiplicity); a class is
     a composition of N over the distinct values, with class efficacy the value
     product and class size multinomial(N; counts) * prod(multiplicity^count).
-    Returns (values, log_sizes) sorted by descending class efficacy, plus the
-    best capacity f^2 * |S| over classes.
+    Returns the (log efficacy, log size, composition) triple of each class,
+    sorted by descending efficacy, and the best log capacity
+    max 2 log f + log |S| over classes.
     """
     from math import lgamma
 

@@ -56,8 +56,7 @@ from .core import (Decomposition, MultiplyCounter, Rank1Term, Tensor,
                    _interleave, _sweep, _uninterleave, apply_power,
                    reflect_decomposition, tensor_of_decomposition)
 from .efficacy import (StochasticPair, eff_table, exponent_bound, gamma,
-                       is_subset_of_matmul, rho_joint_matrix,
-                       typeclass_capacity)
+                       is_subset_of_matmul, typeclass_capacity)
 from .instances import (Instance, SplitFamily, default_subset_size,
                         expand_vectors, map_to_pm1, pack_bits, packed_inner)
 
@@ -163,7 +162,7 @@ class Detector:
 class SolverPlan:
     # headline parameters
     N: int                        # Kronecker power of the planning tensor
-    g: float                      # target bucket size n t / m
+    g: float                      # uniform: bucket load n t / m; hashing: 1.0
     t: int                        # copies per input per side
     reps: int
     detect_sigma: float
@@ -605,20 +604,26 @@ def _phi(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def _estimate_p_round(classes, lam: float, rho_det: float, sigma: float,
+def _class_weights(classes) -> list:
+    """(share, f) of each efficacy class from typeclass_capacity: the share
+    exp(logsize - log_space) of the digit strings it holds and its efficacy
+    exp(logf); the class law that _estimate_p_round reads."""
+    log_space = math.log(sum(math.exp(ls) for _, ls, _ in classes))
+    return [(math.exp(logsize - log_space), math.exp(logf))
+            for logf, logsize, _ in classes]
+
+
+def _estimate_p_round(weights, lam: float, rho_det: float, sigma: float,
                       t_copies: int, matmul_like: bool):
     """Per-round probability estimate that some planted copy pair lands in a
-    detectable class and clears the threshold."""
+    detectable class of the class law weights and clears the threshold."""
     if matmul_like:
         noise = 1.0 + lam
     else:
         noise = math.sqrt((1.0 + lam) * max(lam, 0.6)) * NOISE_FUDGE
     mass = 0.0
-    log_space = math.log(sum(math.exp(ls) for _, ls, _ in classes))
-    for logf, logsize, _ in classes:
-        frac = math.exp(logsize - log_space)
-        signal = rho_det * math.exp(logf) / noise
-        mass += frac * _phi(signal - sigma)
+    for frac, f in weights:
+        mass += frac * _phi(rho_det * f / noise - sigma)
     lam_hit = (t_copies ** 2) * mass
     return 1.0 - math.exp(-lam_hit)
 
@@ -676,7 +681,6 @@ def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int,
     N = 1
     while rank_lvl ** (N) <= RANK_BUDGET and N * len(base_levels) <= LEVEL_BUDGET:
         m = q_lvl ** N
-        classes, _ = typeclass_capacity(level_table, N)
         # expansion comes per candidate N: coordinates per round
         try:
             r = default_subset_size(d, rho, qk_lvl ** N * (reps + 1))
@@ -685,13 +689,14 @@ def plan_uniform(n: int, rho: float, decomp: Decomposition, d: int,
             N += 1
             continue
         rho_det = rho ** r
+        weights = _class_weights(typeclass_capacity(level_table, N)[0])
         for t_copies in (1, 2, 3):
             lam = n * t_copies / m
             if lam > 64:
                 continue
             for sigma in (SIGMA_CANDIDATES if detect_sigma is None
                           else (detect_sigma,)):
-                p = _estimate_p_round(classes, lam, rho_det, sigma, t_copies,
+                p = _estimate_p_round(weights, lam, rho_det, sigma, t_copies,
                                       matmul_like)
                 cand = (p, sigma, t_copies, r, rho_det, N)
                 if fallback is None or cand[0] > fallback[0]:
@@ -946,14 +951,13 @@ def _run_rounds(instance: Instance, plan: SolverPlan, seed: int, stream: int,
 
 
 def solve_uniform(instance: Instance, decomp: Decomposition,
-                  plan: SolverPlan | None = None, seed: int = 0,
+                  plan: SolverPlan, seed: int = 0,
                   counter: MultiplyCounter | None = None) -> DetectionReport:
     """Run up to plan.reps independent bucket+detect rounds with fresh
     expansion windows; flagged buckets' member pairs are verified on their
     raw bits.  Stops after the first round that verifies a pair.  An empty
-    candidate list means nothing survived verification."""
-    if plan is None:
-        plan = plan_uniform(instance.n, instance.rho, decomp, d=instance.d)
+    candidate list means nothing survived verification.  decomp is not
+    read: plan holds the detector."""
 
     def draw(k, rng, offset):
         return bucket_uniform(instance, plan, rng, offset=offset)
@@ -974,7 +978,11 @@ def plan_lsh(n: int, P: np.ndarray, decomp: Decomposition, qp: StochasticPair,
     N solves (q^2 gamma)^N = 20 n (the polynomial analysis slack is dropped at
     this scale); buckets live on q^(2N) digit strings, each copy drawn by
     pushing 2N raw coordinates through Q_x then Q_y (mirrored on the y side).
-    reps and detect_sigma are checked as in plan_uniform; P must be 2 x 2.
+    Each input gets max(1, round(m / n)) copies, the least load: the
+    estimate's noise grows with the load and it counts no copy pairs, so no
+    larger load can score higher.  reps and detect_sigma are checked as in
+    plan_uniform; P must be 2 x 2.  Unexpandable windows, or a load over 64
+    at the largest N the budget allows, raise PlanError.
     """
     _check_run_options(reps, detect_sigma)
     P = np.asarray(P, float)
@@ -992,40 +1000,37 @@ def plan_lsh(n: int, P: np.ndarray, decomp: Decomposition, qp: StochasticPair,
     qk = t0.shape.q_k
     reps = reps if reps is not None else _default_reps(n)
 
-    table = eff_table(t0).per_entry
-    # planted bucket digit law per level: T levels see (Q_x x, Q_y y), the
-    # reflected levels (Q_y x, Q_x y) with the efficacy table transposed
-    PD_t = qp.Q_x.T @ P @ qp.Q_y
-    PD_r = qp.Q_y.T @ P @ qp.Q_x
-    # conservative per-round estimate via the digit agreement law
     mapping = map_to_pm1(P)
     # q = 2: the balanced map's sign bit of b is b ^ (sign bit of symbol 0)
     flips = (int(mapping.g[0] < 0), int(mapping.h[0] < 0))
     _require_verifiable(mapping.rho_out, d, reps)
-    r = default_subset_size(d, mapping.rho_out, (qk ** (2 * N)) * (reps + 1))
+    try:
+        r = default_subset_size(d, mapping.rho_out,
+                                (qk ** (2 * N)) * (reps + 1))
+    except ValueError as err:
+        raise PlanError(f"no runnable hashing configuration for n={n} at "
+                        f"N={N}: {err}") from err
     rho_det = mapping.rho_out ** r
+    c = max(1, round(m / n))
+    lam = n * c / m
+    if lam > 64:
+        raise PlanError(f"n={n} is too large for the hashing path: m={m} "
+                        f"buckets at N={N}, the largest the budget allows, "
+                        f"hold lambda = {lam:g} > 64 inputs each")
 
-    sigma_grid = SIGMA_CANDIDATES if detect_sigma is None else (detect_sigma,)
-    best = None
-    for g_target in [2 ** e for e in range(0, 2 * N)]:
-        c = max(1, round(m * g_target / n))
-        lam = n * c / m
-        if lam > 64:
-            break
-        p_est, sig_best = 0.0, sigma_grid[0]
-        for sigma in sigma_grid:
-            p = _lsh_p_round(table, PD_t, PD_r, N, lam, rho_det, sigma)
-            if p > p_est:
-                p_est, sig_best = p, sigma
-        if best is None or p_est > best[0]:
-            best = (p_est, c, sig_best, g_target)
-        if p_est >= 0.5:
-            break
-    p_est, c, sigma, g_target = best
+    # planted bucket digit law per level: T levels see (Q_x x, Q_y y), the
+    # reflected levels (Q_y x, Q_x y) with the efficacy table transposed
+    mu, sd = _lsh_digit_law(eff_table(t0).per_entry, qp.Q_x.T @ P @ qp.Q_y,
+                            qp.Q_y.T @ P @ qp.Q_x, N)
+    # the first sigma with the highest estimate; the grid's first if all are 0
+    p_est, sigma = max(
+        ((_lsh_p_round(mu, sd, lam, rho_det, s), s) for s in
+         (SIGMA_CANDIDATES if detect_sigma is None else (detect_sigma,))),
+        key=lambda ps: ps[0])
 
     detector = _build_detector([decomp, reflect_decomposition(decomp)] * N)
     return SolverPlan(
-        N=N, g=float(g_target),
+        N=N, g=1.0,
         t=1, reps=reps, detect_sigma=float(sigma),
         symmetrized=True, detector=detector, r=r, rho_det=rho_det,
         lsh=True, qp=qp, flips=flips, copies=c,
@@ -1034,35 +1039,32 @@ def plan_lsh(n: int, P: np.ndarray, decomp: Decomposition, qp: StochasticPair,
     )
 
 
-def _lsh_p_round(table, PD_t, PD_r, N, lam, rho_det, sigma):
-    """Estimate via per-digit efficacy distribution of the planted bucket pair."""
-    logeffs = []
-    probs = []
+def _lsh_digit_law(table, PD_t, PD_r, N):
+    """(mu, sd) of the normal law of the planted bucket pair's summed
+    log-efficacy, its digits taken as independent: PD_t through table on
+    the N T levels, PD_r through table.T on the N reflected ones."""
+    mus, vas = [], []
     q = table.shape[0]
     for PD, tab in ((PD_t, table), (PD_r, table.T)):
-        le = []
-        pr = []
+        le, pr = [], []
         for i in range(q):
             for j in range(q):
                 if tab[i, j] > 0 and PD[i, j] > 0:
                     le.append(math.log(tab[i, j]))
                     pr.append(PD[i, j])
         z = sum(pr)
-        logeffs.append(le)
-        probs.append([p / z for p in pr])
-    # Monte-Carlo-free heuristic: treat log-eff digits as independent and use
-    # a normal approximation of their sum
-    mus = []
-    vas = []
-    for le, pr in zip(logeffs, probs):
+        pr = [p / z for p in pr]
         mu = sum(p * x for p, x in zip(pr, le))
-        va = sum(p * x * x for p, x in zip(pr, le)) - mu * mu
         mus.append(mu)
-        vas.append(va)
-    mu = N * (mus[0] + mus[1])
-    sd = math.sqrt(max(N * (vas[0] + vas[1]), 1e-12))
+        vas.append(sum(p * x * x for p, x in zip(pr, le)) - mu * mu)
+    return (N * (mus[0] + mus[1]),
+            math.sqrt(max(N * (vas[0] + vas[1]), 1e-12)))
+
+
+def _lsh_p_round(mu, sd, lam, rho_det, sigma):
+    """Chance under the digit law (mu, sd) that the planted class signal
+    clears sigma + 0.5 at load lam."""
     noise = math.sqrt((1.0 + lam) * max(lam, 0.6))
-    # probability over the digit law that the class signal clears sigma + 0.5
     need = math.log(max((sigma + 0.5) * noise / max(rho_det, 1e-12), 1e-12))
     return 1.0 - _phi((need - mu) / sd)
 
@@ -1077,19 +1079,13 @@ def _lsh_memberships(bits: np.ndarray, stay, copies: int, rng):
     return mem
 
 
-def solve_lsh(instance: Instance, decomp: Decomposition,
-              qp: StochasticPair | None = None, plan: SolverPlan | None = None,
+def solve_lsh(instance: Instance, decomp: Decomposition, plan: SolverPlan,
               seed: int = 0,
               counter: MultiplyCounter | None = None) -> DetectionReport:
     """Hashing-boosted solve: bucket ids from Q-perturbed raw coordinates,
     detection on sign-flipped fresh coordinates through the symmetrized
-    tensor.  Stops after the first round that verifies a pair."""
-    if plan is None:
-        if qp is None:
-            raise ValueError("need a stochastic pair or a prebuilt plan")
-        P = (instance.P if instance.P is not None
-             else rho_joint_matrix(instance.rho))
-        plan = plan_lsh(instance.n, P, decomp, qp, d=instance.d)
+    tensor.  Stops after the first round that verifies a pair.  decomp is
+    not read: plan holds the detector and the pair Q."""
     # detection expands windows of the sign-flipped bits
     bits_x = instance.X ^ np.uint8(plan.flips[0])
     bits_y = instance.Y ^ np.uint8(plan.flips[1])

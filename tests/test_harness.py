@@ -256,7 +256,10 @@ class TestCli:
         (["exponent", "--tensor", "t2112", "--rho", "1.5", "--csv"],
          "lumen exponent: rho must lie in [0, 1]"),
         (["exponent", "--tensor", "strassen", "--rho", "-0.5"],
-         "lumen exponent: rho must lie in [0, 1]")])
+         "lumen exponent: rho must lie in [0, 1]"),
+        (["solve", "--lsh", "--tensor", "strassen", "--n", "70000", "--d",
+          "256", "--reps", "30"],
+         "lumen solve: n=70000 is too large for the hashing path")])
     def test_infeasible_input_exits_2(self, tmp_path, monkeypatch, capsys,
                                       argv, why):
         monkeypatch.chdir(tmp_path)

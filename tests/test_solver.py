@@ -1000,6 +1000,43 @@ class TestLsh:
         assert (plan.p_round_est < 0.01) == noted
         assert (note in plan.notes) == noted
 
+    @pytest.mark.parametrize("tensor, n, rho, d, reps, copies", [
+        ("sw", 128, 0.6, 256, None, 8), ("t2112", 112, 0.6, 256, None, 2),
+        ("sw", 1024, 0.8, 512, 60, 1), ("strassen", 1024, 0.8, 512, None, 1)],
+        ids=["digest-sw", "digest-t2112", "bench-sw", "bench-strassen-null"])
+    def test_least_load(self, tensor, n, rho, d, reps, copies):
+        """The digest's and the bench's hashing plans give each input the
+        least copies, max(1, round(m / n)); t stays 1 and g 1.0."""
+        decomp = {"sw": sw_decomposition(), "t2112": t2112(),
+                  "strassen": strassen_decomposition()}[tensor]
+        plan = plan_lsh(n, rho_joint_matrix(rho), decomp,
+                        t2112_flip_pair(rho), d=d, reps=reps)
+        assert plan.copies == max(1, round(plan.m / n)) == copies
+        assert plan.t == 1 and plan.g == 1.0
+
+    @pytest.mark.parametrize("sigma, want", [(3.3, 3.3), (None, 10.0)])
+    def test_zero_estimate_keeps_first_sigma(self, sigma, want):
+        """When every threshold estimates 0, the plan keeps the first of its
+        grid: the caller's sigma, else the largest candidate."""
+        plan = plan_lsh(32, rho_joint_matrix(0.3), strassen_decomposition(),
+                        t2112_flip_pair(0.3), d=512, detect_sigma=sigma)
+        assert plan.p_round_est == 0.0 and plan.detect_sigma == want
+
+    @pytest.mark.parametrize("n, rho, d, reps, why", [
+        (70000, 0.8, 256, 30,
+         r"^n=70000 is too large for the hashing path: m=1024 buckets at "
+         r"N=5, the largest the budget allows, hold lambda = 68\.3594 > 64 "
+         r"inputs each$"),
+        (20000, 0.3, 700, None,
+         r"^no runnable hashing configuration for n=20000 at N=5: cannot "
+         r"reach \d+ expanded coordinates")])
+    def test_infeasible_plan_refused(self, n, rho, d, reps, why):
+        """More than 64 inputs a bucket at the capped N, and windows that
+        cannot expand, are refused with PlanError."""
+        with pytest.raises(PlanError, match=why):
+            plan_lsh(n, rho_joint_matrix(rho), strassen_decomposition(),
+                     t2112_flip_pair(rho), d=d, reps=reps)
+
     def test_low_gamma_refused(self):
         # single-coefficient tensor has eff = 1; uniform-Q gamma = 1/4 < 1/2
         c = np.zeros((2, 2, 2, 2, 2, 2))
