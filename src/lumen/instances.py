@@ -12,7 +12,7 @@ import operator
 import os
 import struct
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, pairwise
 
 import numpy as np
 
@@ -265,6 +265,26 @@ def _pieces(v: np.ndarray):
         yield a, len(v), 0
 
 
+def _joint_pieces(u: np.ndarray, v: np.ndarray):
+    """(first, end, step in u, step in v) of the pieces of _pieces(u) cut at
+    the pieces of _pieces(v): on each, both index vectors advance by one
+    step."""
+    pu, pv = list(_pieces(u)), list(_pieces(v))
+    iu = iv = 0
+    for a, b in pairwise(sorted({p[0] for p in pu + pv} | {len(u)})):
+        while pu[iu][1] <= a:
+            iu += 1
+        while pv[iv][1] <= a:
+            iv += 1
+        yield a, b, pu[iu][2], pv[iv][2]
+
+
+def _strided(bits: np.ndarray, c: int, s: int, size: int) -> np.ndarray:
+    """The columns c, c + s, ..., size of them, of bits as one view; a
+    step-0 piece is the one column, which broadcasts."""
+    return bits[:, c:c + 1] if s == 0 else bits[:, c::s][:, :size]
+
+
 def subset_parities(bits: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """n x k {0,1} parities of the k column subsets in the k x h index array
     cols: entry (i, s) is the XOR of bits[i, cols[s]], the bit form of the
@@ -272,21 +292,26 @@ def subset_parities(bits: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
     Each member column cols[:, j] is cut, in one np.diff pass, into maximal
     pieces that advance by one step; a piece is one strided slice of bits
-    (a step-0 piece one column, broadcast) copied or XORed into place.  A
-    split family window's members mostly advance by 1 or stay put, so its
-    few pieces copy whole runs of columns instead of gathering bytes."""
+    (a step-0 piece one column, broadcast).  The first two members are
+    XORed into place in one pass over their joint pieces, and every later
+    member's pieces are XORed in.  A split family window's members mostly
+    advance by 1 or stay put, so its few pieces read whole runs of columns
+    instead of gathering bytes."""
     k, h = cols.shape
     if k == 0 or h == 0:
         return np.zeros((bits.shape[0], k), dtype=bits.dtype)
     out = np.empty((bits.shape[0], k), dtype=bits.dtype)
-    for j, v in enumerate(cols.T):
+    if h == 1:
+        for a, b, s in _pieces(cols[:, 0]):
+            out[:, a:b] = _strided(bits, int(cols[a, 0]), s, b - a)
+        return out
+    u, v = cols[:, 0], cols[:, 1]
+    for a, b, su, sv in _joint_pieces(u, v):
+        np.bitwise_xor(_strided(bits, int(u[a]), su, b - a),
+                       _strided(bits, int(v[a]), sv, b - a), out=out[:, a:b])
+    for v in cols[:, 2:].T:
         for a, b, s in _pieces(v):
-            c = int(v[a])
-            piece = bits[:, c:c + 1] if s == 0 else bits[:, c::s][:, :b - a]
-            if j:
-                out[:, a:b] ^= piece
-            else:
-                out[:, a:b] = piece
+            out[:, a:b] ^= _strided(bits, int(v[a]), s, b - a)
     return out
 
 

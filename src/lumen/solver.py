@@ -44,6 +44,14 @@ pass are scored by the float64 |C| / sqrt(V).  _variance_map sweeps any
 W_l over the outer product of the bucket sizes; it scores the rounds of
 non-diagonal plans, and detect(..., return_scores=True) builds every
 plan's whole score map over it, the oracle of _flag_cells.
+
+A mask plan's flag pass multiplies the unsigned bucket sums.  A mask level
+sends input row I only to output row I, so the bucket signs only multiply
+C[I, J] by s_x[I] s_y[J]; _flag_cells reads only C^2 and |C|, and C is an
+integer below 2^24, exact in float32 either way, so the flags are the
+same bits.  The signs are still drawn each round, so the random streams do
+not move, and the score oracle and the sweep kind, whose rank recursion
+mixes rows, multiply them in.
 """
 
 from __future__ import annotations
@@ -149,7 +157,7 @@ class Detector:
         return _subset_diag_masks(self.missing)
 
     def apply(self, A, B, counter: MultiplyCounter | None = None):
-        """Scores C of the sign-flipped m x d' aggregates A and B."""
+        """Scores C of the m x d' aggregates A and B."""
         if self.kind == "subset_diag":
             return _apply_subset_diag(self.masks, A, B, counter=counter)
         if self.kind == "masked_matmul":
@@ -487,7 +495,7 @@ def _fix_digit(X, q_row, q_col, p: int, r: int, c: int) -> np.ndarray:
 
 def _apply_masked_matmul(shapes, missing, A, B,
                          counter: MultiplyCounter | None = None,
-                         start: int = 0):
+                         end: int | None = None):
     """Exact application of unit-coefficient subset-of-matmul levels.
 
     shapes are the levels' TensorShapes and missing their omitted (i, k, j)
@@ -495,12 +503,14 @@ def _apply_masked_matmul(shapes, missing, A, B,
     expanded by inclusion-exclusion: every choice of "free" or one omitted
     slot per level is one BLAS product between the fixed-digit sub-blocks of
     A and B, signed into the matching sub-block of C.  The choices nest: C
-    starts as A @ B.T, and each omitted slot (i, k, j) of a level p >= start
-    subtracts, on the rows and columns whose digit p is i and j, the product
-    of the sub-blocks whose digits p are (i, k) and (j, k) with only levels
-    after p masked (the recursion's start).  With every E_l empty this is
-    exactly one A @ B.T.  Executes prod_l(q_i q_k q_j + |E_l|) multiplies:
-    9^L for sw, m d' m for matmul.
+    starts as A @ B.T, and each omitted slot (i, k, j) of a level p < end
+    (every level at the top call), taken from end - 1 down to 0, subtracts,
+    on the rows and columns whose digit p is i and j, the product of the
+    sub-blocks whose digits p are (i, k) and (j, k) with only the levels
+    before p masked (the recursion's end).  Deeper calls so fix the more
+    significant digits, whose sub-blocks are longer contiguous runs.  With
+    every E_l empty this is exactly one A @ B.T.  Executes
+    prod_l(q_i q_k q_j + |E_l|) multiplies: 9^L for sw, m d' m for matmul.
 
     Exactness: each K of a cell is counted by at most one pending term, so
     every partial sum, inside each product and between them, is a sum of
@@ -514,7 +524,7 @@ def _apply_masked_matmul(shapes, missing, A, B,
         counter.add(A.shape[0] * A.shape[1] * B.shape[0])
     qi, qk, qj = ([s.q_i for s in shapes], [s.q_k for s in shapes],
                   [s.q_j for s in shapes])
-    for p in range(start, len(shapes)):
+    for p in reversed(range(len(shapes) if end is None else end)):
         rest = shapes[:p] + shapes[p + 1:]
         rest_missing = missing[:p] + missing[p + 1:]
         for i, k, j in missing[p]:
@@ -796,33 +806,40 @@ def bucket_aggregate(expanded_bits: np.ndarray, rows: np.ndarray,
     """The m x d' float32 sums of each bucket's expanded +-1 rows: its size
     minus twice its count of one bits.
 
-    The count adds whole uint64 words: the gathered rows, zero-padded to a
-    multiple of 8 columns, are read as words of eight uint8 lanes, one
-    column's 0/1 bit per lane.  A lane cannot carry into the next while it
-    sums at most 255 rows, so reduceat runs over segments that start at
-    every non-empty bucket and again every 255 rows inside a larger one;
-    when any bucket was cut, an int32 reduceat adds its segments' lane
-    counts back together.  reduceat gives an empty segment an element, not
-    0, so empty buckets get no segment."""
+    The count adds whole uint64 words: the rows, zero-padded to a multiple
+    of 8 columns, are read as words of eight uint8 lanes, one column's 0/1
+    bit per lane.  Buckets are summed slot by slot, largest bucket first:
+    slot j gathers the j-th member row of every bucket holding more than j
+    rows, which are a prefix of the size-sorted buckets, and adds them to
+    that prefix of the accumulator in one contiguous pass.  A lane cannot
+    carry into the next while it sums at most 255 rows, so every 255 slots
+    the lanes are flushed into int32 counts.  The bucket order is undone
+    once, on the counts, before they become floats."""
     lane_max = 255
     sizes = np.diff(starts)
-    full = np.flatnonzero(sizes)
     width = expanded_bits.shape[1]
     if width % 8:
         expanded_bits = np.pad(expanded_bits, ((0, 0), (0, -width % 8)))
-    words = expanded_bits[rows].view(np.uint64)
-    segments = -(-sizes[full] // lane_max)
-    seg = starts[full]
-    if (segments > 1).any():
-        first = np.cumsum(segments) - segments
-        seg = (np.repeat(seg - lane_max * first, segments)
-               + lane_max * np.arange(segments.sum()))
-    counts = np.add.reduceat(words, seg, axis=0).view(np.uint8)
-    if seg.size > full.size:
-        counts = np.add.reduceat(counts, first, axis=0, dtype=np.int32)
-    out = np.zeros((sizes.size, width), dtype=np.float32)
-    out[full] = counts[:, :width]
-    out *= -2
+    words = np.ascontiguousarray(expanded_bits).view(np.uint64)
+    order = np.argsort(-sizes, kind="stable")
+    first = starts[order]
+    # reach[j]: how many buckets hold more than j rows
+    reach = np.searchsorted(-sizes[order], -np.arange(sizes.max(initial=0)))
+    acc = np.zeros((sizes.size, words.shape[1]), dtype=np.uint64)
+    flush = reach.size > lane_max
+    counts = (np.zeros((sizes.size, 8 * words.shape[1]), dtype=np.int32)
+              if flush else acc.view(np.uint8))
+    for s in range(0, reach.size, lane_max):
+        stretch = reach[s:s + lane_max].tolist()
+        for j, c in enumerate(stretch, s):
+            acc[:c] += words[rows[first[:c] + j]]
+        if flush:
+            c = stretch[0]
+            counts[:c] += acc[:c].view(np.uint8)
+            acc[:c] = 0
+    lanes = np.empty_like(counts)
+    lanes[order] = counts
+    out = np.multiply(lanes[:, :width], -2, dtype=np.float32)
     out += sizes[:, None].astype(np.float32)   # int64 would add in float64
     return out
 
@@ -848,10 +865,11 @@ def _bucket_state(instance: Instance, mem_x, mem_y, plan: SolverPlan,
     mem_x = _dedupe_rows(mem_x)
     mem_y = _dedupe_rows(mem_y)
     index_x, index_y = _bucket_index(mem_x, m), _bucket_index(mem_y, m)
-    ex = expand_vectors(instance.X, plan.r, plan.d_prime, offset)
-    ey = expand_vectors(instance.Y, plan.r, plan.d_prime, offset)
-    agg_x = bucket_aggregate(ex, *index_x)
-    agg_y = bucket_aggregate(ey, *index_y)
+    # one side at a time, so one n x d' expansion is alive at once
+    agg_x = bucket_aggregate(
+        expand_vectors(instance.X, plan.r, plan.d_prime, offset), *index_x)
+    agg_y = bucket_aggregate(
+        expand_vectors(instance.Y, plan.r, plan.d_prime, offset), *index_y)
     signs_x = (1.0 - 2.0 * rng.integers(0, 2, size=m)).astype(np.float32)
     signs_y = (1.0 - 2.0 * rng.integers(0, 2, size=m)).astype(np.float32)
     return BucketState(mem_x, mem_y, index_x, index_y, agg_x, agg_y,
@@ -865,20 +883,27 @@ def detect(state: BucketState, plan: SolverPlan,
 
     sigma is the square root of the realized-size variance; cells with zero
     variance never flag.  When every W_l is diagonal and no scores are
-    asked for, _flag_cells flags C by the closed form; otherwise the whole
-    float64 score map is built over the swept _variance_map, the oracle,
-    and return_scores returns it with C and V without the half factors.
+    asked for, _flag_cells flags C by the closed form; a mask kernel then
+    multiplies the unsigned aggregates, since the bucket signs only flip
+    the sign of C's cells there.  Otherwise the whole float64 score map is
+    built from the signed aggregates over the swept _variance_map, the
+    oracle, and return_scores returns it with C and V without the half
+    factors.
     """
-    A = state.agg_x * state.signs_x[:, None]
-    B = state.agg_y * state.signs_y[:, None]
-    C = plan.detector.apply(A, B, counter=counter)
+    det = plan.detector
+    flag_pass = (not return_scores and plan.detect_sigma > 0
+                 and det.factors is not None)
+    if flag_pass and det.kind != "sweep":
+        A, B = state.agg_x, state.agg_y
+    else:
+        A = state.agg_x * state.signs_x[:, None]
+        B = state.agg_y * state.signs_y[:, None]
+    C = det.apply(A, B, counter=counter)
     sizes_x, sizes_y = np.diff(state.index_x[1]), np.diff(state.index_y[1])
-    if not return_scores and plan.detect_sigma > 0:
-        factors = plan.detector.factors
-        if factors is not None:
-            return _flag_cells(C, factors, sizes_x, sizes_y,
-                               plan.detect_sigma)
-    V = _variance_map(plan.detector.weights, sizes_x, sizes_y)
+    if flag_pass:
+        return _flag_cells(C, det.factors, sizes_x, sizes_y,
+                           plan.detect_sigma)
+    V = _variance_map(det.weights, sizes_x, sizes_y)
     with np.errstate(divide="ignore", invalid="ignore"):
         score = np.abs(C) / np.sqrt(V)
     score[~np.isfinite(score)] = 0.0
@@ -893,29 +918,38 @@ def verify_candidates(instance: Instance, keys, plan: SolverPlan,
                       words_x: np.ndarray, words_y: np.ndarray):
     """The distinct pairs (a, b) of the keys a * n + b, sorted, whose +-1
     inner product over all d bits, negated when plan.flip is set, reaches
-    verify_threshold(d, plan.reps); words_x / words_y pack the bits."""
-    ai, bj = np.divmod(np.unique(np.asarray(keys, dtype=np.int64)),
-                       instance.n)
-    inner = packed_inner(words_x[ai], words_y[bj], instance.d)
+    verify_threshold(d, plan.reps); words_x / words_y pack the bits.  Every
+    key is scored, repeats too, and only the accepted keys are sorted and
+    deduplicated."""
+    keys = np.asarray(keys, dtype=np.int64)
+    ai, bj = np.divmod(keys, instance.n)
+    inner = packed_inner(np.take(words_x, ai, axis=0),
+                         np.take(words_y, bj, axis=0), instance.d)
     inner *= 1 - 2 * plan.flip
     ok = inner >= verify_threshold(instance.d, plan.reps)
-    return list(zip(ai[ok].tolist(), bj[ok].tolist()))
+    ai, bj = np.divmod(np.unique(keys[ok]), instance.n)
+    return list(zip(ai.tolist(), bj.tolist()))
 
 
 def _collect_candidates(state: BucketState, flags):
     """Keys a * n + b of the member pairs (a, b) of each flagged bucket
-    pair, in flag order; stops past CAP_PAIRS."""
+    pair, in flag order, a-major within a flag; the flags after the first
+    whose pairs take the running total past CAP_PAIRS are dropped.  The
+    keys are laid out in one pass: each pair's flag by np.repeat, its
+    place in the flag by a cumsum of the per-flag pair counts."""
     n = state.mem_x.shape[0]
     (rows_x, starts_x), (rows_y, starts_y) = state.index_x, state.index_y
-    keys, total = [np.zeros(0, dtype=np.int64)], 0
-    for i, j, _ in flags:
-        mx = rows_x[starts_x[i]:starts_x[i + 1]]
-        my = rows_y[starts_y[j]:starts_y[j + 1]]
-        keys.append((mx[:, None] * n + my).ravel())
-        total += keys[-1].size
-        if total > CAP_PAIRS:
-            break
-    return np.concatenate(keys)
+    fi, fj = np.array([f[:2] for f in flags], dtype=np.int64).reshape(-1, 2).T
+    size_y = starts_y[fj + 1] - starts_y[fj]
+    pairs = (starts_x[fi + 1] - starts_x[fi]) * size_y
+    ends = np.cumsum(pairs)
+    kept = np.searchsorted(ends, CAP_PAIRS, side="right") + 1
+    fi, fj, size_y, pairs = fi[:kept], fj[:kept], size_y[:kept], pairs[:kept]
+    flag = np.repeat(np.arange(len(pairs)), pairs)
+    place = np.arange(flag.size) - (ends[:kept] - pairs)[flag]
+    a, b = np.divmod(place, size_y[flag])
+    return (rows_x[starts_x[fi[flag]] + a] * n
+            + rows_y[starts_y[fj[flag]] + b])
 
 
 def _run_rounds(instance: Instance, plan: SolverPlan, seed: int, stream: int,

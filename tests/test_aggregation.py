@@ -148,6 +148,45 @@ class TestBucketAggregate:
         assert out.dtype == np.float32
         assert np.array_equal(out, scatter_sum(bits, mem, m))
 
+    @pytest.mark.parametrize("width", [5, 16])
+    def test_size_order_is_undone(self, width):
+        """Buckets whose sizes tie, and whose sizes rise and fall against
+        their ids, between empty ones: the slot-major sums, taken largest
+        bucket first, land back on their own bucket ids."""
+        rng = np.random.default_rng(20 + width)
+        sizes = [0, 1, 3, 3, 0, 5, 2, 5, 1, 0, 4, 3]
+        ids = np.repeat(np.arange(len(sizes)), sizes)
+        rng.shuffle(ids)
+        mem = ids[:, None]
+        bits = rng.integers(0, 2, size=(ids.size, width), dtype=np.uint8)
+        rows, starts = _bucket_index(mem, len(sizes))
+        assert np.diff(starts).tolist() == sizes
+        out = bucket_aggregate(bits, rows, starts)
+        assert np.array_equal(out, scatter_sum(bits, mem, len(sizes)))
+
+    @pytest.mark.parametrize("n", [0, 6])
+    def test_no_rows(self, n):
+        """No input, or every membership collapsed away: every bucket sums
+        to zero."""
+        bits = np.ones((n, 12), dtype=np.uint8)
+        rows, starts = _bucket_index(np.full((n, 1), -1), 7)
+        assert rows.size == 0
+        out = bucket_aggregate(bits, rows, starts)
+        assert out.dtype == np.float32
+        assert np.array_equal(out, np.zeros((7, 12), np.float32))
+
+    def test_load_64(self):
+        """A load of 64 rows a bucket at t = 2 runs about a hundred slots,
+        each one gather over a shrinking prefix of the buckets."""
+        rng = np.random.default_rng(64)
+        n, m, width = 512, 16, 24
+        bits = rng.integers(0, 2, size=(n, width), dtype=np.uint8)
+        mem = _dedupe_rows(rng.integers(0, m, size=(n, 2)))
+        rows, starts = _bucket_index(mem, m)
+        assert np.diff(starts).max() > 64
+        out = bucket_aggregate(bits, rows, starts)
+        assert np.array_equal(out, scatter_sum(bits, mem, m))
+
     def test_one_bucket_is_the_reference_aggregate(self):
         """A bucket of all g = 300 rows (past one lane's 255) sums to the
         paper's reference aggregate of the same vectors."""

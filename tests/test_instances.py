@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from lumen.efficacy import rho_joint_matrix
-from lumen.instances import (MAGIC, Instance, SplitFamily, _pieces,
-                             default_subset_size, expand_vectors, gen_planted,
-                             gen_planted_p, pack_bits, packed_inner,
-                             read_instance, sidecar_path, subset_parities,
-                             unpack_bits, write_instance)
+from lumen.instances import (MAGIC, Instance, SplitFamily, _joint_pieces,
+                             _pieces, default_subset_size, expand_vectors,
+                             gen_planted, gen_planted_p, pack_bits,
+                             packed_inner, read_instance, sidecar_path,
+                             subset_parities, unpack_bits, write_instance)
 
 
 class TestGenerators:
@@ -222,6 +222,20 @@ class TestExpansion:
         for k, h in ((0, 2), (4, 0)):
             out = subset_parities(bits, np.zeros((k, h), dtype=np.intp))
             assert out.shape == (5, k) and not out.any()
+
+    def test_joint_pieces_cut_at_both_columns(self):
+        """The first two members are XORed over their joint pieces: each
+        column's pieces, cut wherever the other's begin, with both steps."""
+        u, v = np.array([5, 6, 7, 8, 0, 1]), np.array([0, 0, 0, 1, 2, 3])
+        assert list(_joint_pieces(u, v)) == [(0, 3, 1, 0), (3, 4, 1, 1),
+                                             (4, 6, 1, 1)]
+        assert list(_joint_pieces(v, u)) == [(0, 3, 0, 1), (3, 4, 1, 1),
+                                             (4, 6, 1, 1)]
+        bits = np.random.default_rng(13).integers(0, 2, size=(4, 9),
+                                                  dtype=np.uint8)
+        cols = np.stack([u, v], axis=1)
+        assert np.array_equal(subset_parities(bits, cols),
+                              bits[:, u] ^ bits[:, v])
 
     def test_family_size_guard(self):
         bits = np.zeros((1, 8), dtype=np.uint8)

@@ -780,6 +780,31 @@ class TestFlagPass:
         assert "factors" not in vars(plan.detector)
         assert V.shape == C.shape == (plan.m, plan.m)
 
+    @pytest.mark.parametrize("name", ["t2112", "strassen", "sw-L5"])
+    def test_mask_plans_read_no_signs(self, name):
+        """A mask kernel sends input row I only to output row I, so the
+        bucket signs only flip the sign of C's cells: with NaN signs the
+        default path returns the flags of the signed oracle."""
+        plan, st = _flag_round(name, 0)
+        assert plan.kernel in ("subset_diag", "masked_matmul")
+        plan.detect_sigma = 2.05
+        want = detect(st, plan, return_scores=True)[0]
+        nan = np.full(plan.m, np.nan, np.float32)
+        st = dataclasses.replace(st, signs_x=nan, signs_y=nan)
+        assert detect(st, plan) == want and want
+
+    @pytest.mark.parametrize("name", ["coefficient-two-L4", "t2112-exact-L3"])
+    def test_sweep_plans_read_the_signs(self, name):
+        """The rank recursion mixes rows, diagonal weights or not, so a sweep
+        plan multiplies the signed aggregates: NaN signs clear its flags."""
+        plan, st = _flag_round(name, 0)
+        assert plan.kernel == "sweep"
+        plan.detect_sigma = 2.05
+        assert detect(st, plan)
+        nan = np.full(plan.m, np.nan, np.float32)
+        st = dataclasses.replace(st, signs_x=nan, signs_y=nan)
+        assert detect(st, plan) == []
+
     def test_exact_tie_flags_and_zero_variance_never_flags(self):
         """|C| = 7 over V = 4 is exactly sigma = 3.5 and flags on both
         paths; a nonzero C over V = 0 scores inf and flags on neither; one
