@@ -4,7 +4,7 @@ summary, CSV/JSON emission, and the paper's probabilistic lemma suite."""
 from __future__ import annotations
 
 # the package, not its ProcessPoolExecutor: that name loads multiprocessing,
-# and `import lumen` imports this module
+# which only a --jobs grid needs, and the CLI imports this module at start
 import concurrent.futures
 import csv
 import io

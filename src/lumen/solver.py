@@ -16,23 +16,25 @@ parity of an even number r of bits, which that complement leaves as it is,
 so only verification reads the plan's one flip bit and negates the inner
 product.  A solve reports the final round's strongest flagged cells.
 
-Each plan builds its detection kernel once, as a Detector: every distinct
-planned level is screened numerically, and decompositions whose coefficient
-spread would destroy double precision at the planned power are replaced by
-the unit-term decomposition of their expanded tensor (dropping coefficients
-whose total variance share is negligible, checked and recorded on the plan).
-A level is then described by its pair-weight matrix W_l and, when it is a
-unit-coefficient subset of matmul (a 0/1 mask over the matmul slots), by
-the slots E_l it omits.  When every executable level is a mask,
-detection runs one of two mask kernels.  The subset_diag kernel (levels
-whose E_l is one slot at each off cell and none on the diagonal, as the
-t2112 surrogate's is) runs each off-digit mask as one einsum over strided
-views of K-major operands whose row digits are rotated so that the mask's
-longest run of free digits is contiguous; its per-mask einsum table is
-built on the first apply.  The masked_matmul kernel (any other mask, as
-sw's; an exact matmul level omits no slot) expands the omitted slots by
-inclusion-exclusion into signed BLAS products over fixed-digit sub-blocks,
-and is one A @ B.T for matmul.  Other levels run the rank recursion.
+Each plan builds its detection kernel once, as a Detector, screening every
+distinct planned level.  The planted products reach the planted cell only
+through the matmul slots, so a level detects through its matmul slots of
+coefficient 1: a 0/1 mask over the matmul slots (strassen, sw) keeps its
+own decomposition, and any other level with such slots (t2112 at every
+eps) runs the unit terms of exactly those slots, the squared-mass share
+it drops recorded on the plan.  A level with no unit matmul slot runs its
+rank recursion exactly, the sweep kind, and is refused when its
+coefficient spread would destroy double precision at the planned power.
+A mask level is described by its pair-weight matrix W_l and the slots E_l
+it omits, and a plan of masks runs one of two mask kernels.  The
+subset_diag kernel (levels whose E_l is one slot at each off cell and
+none on the diagonal, as t2112's is) runs each off-digit mask as one
+einsum over strided views of K-major operands whose row digits are
+rotated so that the mask's longest run of free digits is contiguous; its
+per-mask einsum table is built on the first apply.  The masked_matmul
+kernel (any other mask, as sw's; an exact matmul level omits no slot)
+expands the omitted slots by inclusion-exclusion into signed BLAS products
+over fixed-digit sub-blocks, and is one A @ B.T for matmul.
 
 The variance reads only the W_l; it has one closed form and one oracle.  When
 every W_l is diagonal, as every mask level's is, _flag_cells flags a round
@@ -93,7 +95,6 @@ P_ROUND_MIN = 0.12         # minimum per-round success estimate the planner acce
 SIGMA_CANDIDATES = (10.0, 8.0, 6.0, 5.0, 4.5, 4.0, 3.5)
 NOISE_FUDGE = 1.35         # measured inflation of bucket-size noise vs the mean-field model
 STABILITY_TOL = 1e-3       # max tolerated relative fp error estimate per apply
-SURROGATE_VAR_TOL = 1e-3   # max variance share the surrogate may drop
 CAP_PAIRS = 200000         # stop collecting candidate pairs past this many
 VERIFY_DELTA = 1e-3        # chance a solve verifies any false pair, at most
 
@@ -112,10 +113,10 @@ class Detector:
     it omits none) or 'sweep' (the rank recursion).  levels are the
     executable per-level decompositions and rank_product the paper's
     prod(rank_l) over the planned ones.  dropped_var is the largest
-    variance share a surrogate level dropped.  Every kind keeps weights,
-    the transposed pair-weight matrices W_l that the variance reads; the
-    mask kinds keep missing, each level's omitted (i, k, j) slots E_l, from
-    which their kernels are built.
+    squared-mass share a level dropped to run its unit matmul slots.  Every
+    kind keeps weights, the transposed pair-weight matrices W_l that the
+    variance reads; the mask kinds keep missing, each level's omitted
+    (i, k, j) slots E_l, from which their kernels are built.
     """
     kind: str
     levels: tuple
@@ -260,39 +261,25 @@ def _stability_scale(d: Decomposition) -> float:
                      * np.abs(t.gamma).max()) for t in d.terms)
 
 
-def _unit_term_decomposition(t: Tensor, var_tol: float):
-    """One rank-1 term per retained coefficient of the expanded tensor.
-
-    Coefficients are kept largest-first until the dropped squared mass is
-    under var_tol of the total; returns (decomposition, dropped_share).
-    """
-    c = t.coeff
-    flat = np.abs(c.ravel())
-    order = np.argsort(flat)[::-1]
-    total = float((flat ** 2).sum())
-    if total == 0:
-        raise PlanError("cannot build a surrogate for the zero tensor")
-    kept = []
-    acc = 0.0
-    for idx in order:
-        if flat[idx] == 0:
-            break
-        kept.append(idx)
-        acc += float(flat[idx] ** 2)
-        if total - acc <= var_tol * total:
-            break
+def _unit_slot_decomposition(t: Tensor):
+    """One unit rank-1 term per matmul slot (i, k, j) of t whose coefficient
+    is 1, and the share (total - kept) / total of t's squared coefficient
+    mass that the other coefficients hold; None when t has no such slot."""
+    M = np.einsum("ikjkij->ikj", t.coeff)
+    unit = np.abs(M - 1.0) < 1e-9
+    if not unit.any():
+        return None
     qi, qk, qj = t.shape.q_i, t.shape.q_k, t.shape.q_j
     terms = []
-    for idx in kept:
-        i, k, j, kp, ip, jp = np.unravel_index(idx, c.shape)
+    for i, k, j in np.argwhere(unit):
         a = np.zeros((qi, qk)); a[i, k] = 1.0
-        b = np.zeros((qj, qk)); b[j, kp] = 1.0
-        coef = c[i, k, j, kp, ip, jp]
-        if abs(abs(coef) - 1.0) < 1e-9:
-            coef = math.copysign(1.0, coef)
-        g = np.zeros((qi, qj)); g[ip, jp] = coef
+        b = np.zeros((qj, qk)); b[j, k] = 1.0
+        g = np.zeros((qi, qj)); g[i, j] = 1.0
         terms.append(Rank1Term(a, b, g))
-    return Decomposition(t.shape, tuple(terms)), (total - acc) / total
+    total = float((t.coeff ** 2).sum())
+    # largest first, so the sum reads the values, not their layout
+    kept = float(np.sort(M[unit] ** 2)[::-1].cumsum()[-1])
+    return Decomposition(t.shape, tuple(terms)), (total - kept) / total
 
 
 def _unit_mask(t: Tensor):
@@ -316,23 +303,32 @@ def _pair_weight_matrix(t: Tensor) -> np.ndarray:
 def _build_detector(levels) -> Detector:
     """Screen each distinct planned level once and fix how detection runs.
 
-    A level whose coefficient spread would destroy double precision at this
-    power is replaced by the unit-term surrogate of its expanded tensor.  The
-    kind is 'subset_diag' when every executable level is a q = 2 mask that
-    omits one slot at each off cell and none on the diagonal, else
-    'masked_matmul' when every executable level is a unit-coefficient subset
-    of matmul, else 'sweep'.
+    A level that is a unit-coefficient subset of matmul keeps its own
+    decomposition; any other level with matmul slots of coefficient 1 runs
+    the unit-term decomposition of exactly those slots; a level with none
+    runs exactly, and raises PlanError when its coefficient spread would
+    destroy double precision at this power.  The kind is 'subset_diag'
+    when every executable level is a q = 2 mask that omits one slot at
+    each off cell and none on the diagonal, else 'masked_matmul' when
+    every executable level is a mask, else 'sweep'.
     """
+    L = len(levels)
     screened = {}
     for d in levels:
         if id(d) in screened:
             continue
         t = tensor_of_decomposition(d)
         exec_d, exec_t, share = d, t, 0.0
-        # relative error estimate of the full recursion: u * scale^L
-        if _stability_scale(d) ** len(levels) * 1.1e-16 > STABILITY_TOL:
-            exec_d, share = _unit_term_decomposition(t, SURROGATE_VAR_TOL)
-            exec_t = tensor_of_decomposition(exec_d)
+        if _unit_mask(t) is None:
+            unit = _unit_slot_decomposition(t)
+            if unit is not None:
+                exec_d, share = unit
+                exec_t = tensor_of_decomposition(exec_d)
+            # relative error estimate of the full recursion: u * scale^L
+            elif _stability_scale(d) ** L * 1.1e-16 > STABILITY_TOL:
+                raise PlanError(
+                    f"a level with no unit matmul slot loses double "
+                    f"precision in its rank recursion at {L} levels")
         screened[id(d)] = (exec_d, _pair_weight_matrix(exec_t).T,
                            _unit_mask(exec_t), share)
     exec_levels, weights, masks, shares = zip(

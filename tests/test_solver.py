@@ -26,7 +26,8 @@ from lumen.solver import (BucketState, PlanError, bucket_uniform, detect,
                           _lsh_memberships, _pair_weight_matrix,
                           _threshold_choice, _unit_mask, _variance_map)
 from lumen.zoo import (matmul_tensor, strassen_decomposition,
-                       sw_decomposition, t2112_decomposition)
+                       sw_decomposition, t2112_decomposition,
+                       t2112_limit_tensor, zoo_decomposition)
 
 
 def t2112():
@@ -111,6 +112,15 @@ def _closed_form(monkeypatch, det, sizes_x, sizes_y, ref):
     assert (solver._flag_cells(C, det.factors, sizes_x, sizes_y, 1e-6)
             == list(zip(I.tolist(), J.tolist(), want.tolist())))
     return V
+
+
+def _halved_gammas(eps):
+    """t2112 at eps with every gamma halved: its matmul slots hold 1/2 and
+    eps^4 / 2, so it has no unit matmul slot, and its pair weights are not
+    diagonal."""
+    d = t2112_decomposition(eps, warn=False)
+    return Decomposition(d.shape, tuple(
+        dataclasses.replace(t, gamma=t.gamma / 2) for t in d.terms))
 
 
 def _coefficient_two_matmul():
@@ -372,11 +382,6 @@ def _check_subset_diag(levels, seed):
 class TestSubsetDiagKernel:
     @pytest.mark.parametrize("L", range(1, 7))
     def test_oracle_equivalence_and_count(self, L):
-        if L == 1:
-            # one stable level keeps the 1/eps identity, which does not
-            # match the subset_diag pattern
-            assert _build_detector([t2112()]).kind != "subset_diag"
-            return
         _check_subset_diag([t2112()] * L, L)
 
     @pytest.mark.parametrize("k", (1, 2, 3))
@@ -457,8 +462,8 @@ class TestMaskedMatmulKernel:
 
     @pytest.mark.parametrize("L", (2, 4, 6))
     def test_several_omitted_slots_per_level(self, L):
-        """The t2112 surrogate omits two slots a level; run through this
-        kernel it matches the float64 rank recursion and runs 10^L."""
+        """t2112's unit slots omit two slots a level; run through this
+        kernel they match the float64 rank recursion and run 10^L."""
         det = _build_detector([t2112()] * L)
         M = _unit_mask(tensor_of_decomposition(det.levels[0]))
         missing = tuple(map(tuple, np.argwhere(M == 0)))
@@ -519,7 +524,7 @@ class TestCountVariance:
     def test_counts_per_level(self):
         """The diagonal of each level's weights counts the k slots it keeps
         at each output cell: sw keeps one at (0, 0) and two elsewhere, the
-        t2112 surrogate one at each off cell, matmul two everywhere; all-2
+        t2112 unit slots one at each off cell, matmul two everywhere; all-2
         counts give the former matmul variance outer(sizes) * d'."""
         def counts(det):
             return [W.diagonal().reshape(2, 2) for W in det.weights]
@@ -555,9 +560,9 @@ class TestCountVariance:
         assert np.array_equal(V, np.outer(sizes_x, sizes_y) * 8.0 ** L)
 
     def test_non_diagonal_weights_are_swept(self):
-        """The exact one-level t2112 plan keeps off-diagonal weight, so its
-        variance map is the sweep itself."""
-        det = _build_detector([t2112()])
+        """A level with no unit matmul slot runs exactly and keeps
+        off-diagonal weight, so its variance map is the sweep itself."""
+        det = _build_detector([_halved_gammas(0.5)])
         assert det.kind == "sweep"
         (W,) = det.weights
         assert not np.array_equal(W, np.diag(W.diagonal()))
@@ -569,23 +574,24 @@ class TestCountVariance:
 class TestDetector:
     @pytest.mark.parametrize("name, lsh, kind", [
         ("t2112", False, "subset_diag"), ("strassen", False, "masked_matmul"),
-        ("sw", True, "masked_matmul"), ("t2112-eps0.5", False, "sweep")])
+        ("sw", True, "masked_matmul"),
+        ("t2112-halved-eps0.5", False, "sweep")])
     def test_built_once(self, monkeypatch, name, lsh, kind):
         """Planning builds the detector, one executable level per distinct
         planned level; solving rounds never expand a decomposition again.
         The null instance verifies no pair, so both rounds run.  The N=8
-        t2112 plan at eps 0.5 screens no level, so it runs the rank sweep."""
+        plan of t2112 at eps 0.5 with its gammas halved has no unit matmul
+        slot, so it runs the rank sweep."""
         d = {"t2112": t2112, "strassen": strassen_decomposition,
              "sw": sw_decomposition,
-             "t2112-eps0.5": lambda: t2112_decomposition(0.5, warn=False)
-             }[name]()
+             "t2112-halved-eps0.5": lambda: _halved_gammas(0.5)}[name]()
         rho = 0.6 if lsh else 0.8
         if lsh:
             plan = plan_lsh(64, rho_joint_matrix(rho), d, t2112_flip_pair(rho),
                             d=256, reps=2)
         elif kind == "sweep":
-            # the digest's eps 0.5 plan (N=8 at the default round budget),
-            # of which two rounds run
+            # the digest's sweep plan (N=8 at the default round budget), of
+            # which two rounds run
             plan = dataclasses.replace(plan_uniform(64, rho, d, d=256), reps=2)
         else:
             plan = plan_uniform(64, rho, d, d=256, reps=2)
@@ -622,6 +628,38 @@ class TestDetector:
         other = plan_uniform(64, 0.8, t2112(), d=256, reps=1)
         solve_uniform(inst, t2112(), plan=other, seed=0)
         assert built == [len(plan.levels), len(other.levels)]
+
+    @pytest.mark.parametrize("name, eps", [
+        (name, eps) for name in ("strassen", "sw", "t2112")
+        for eps in (0.5, 0.1, 0.025)])
+    def test_zoo_plans_run_a_mask_kernel(self, name, eps):
+        """Every zoo plan, at every eps, detects through its unit matmul
+        slots: both planners at every n plan a mask kernel, at no more than
+        9^L multiplies a round.  Planning only."""
+        d = zoo_decomposition(name, eps)
+        rho = 0.8
+        for n in (64, 1024, 4096):
+            for plan in (plan_uniform(n, rho, d, d=256),
+                         plan_lsh(n, rho_joint_matrix(rho), d,
+                                  t2112_flip_pair(rho), d=256)):
+                assert plan.kernel in ("subset_diag", "masked_matmul")
+                assert plan.detector.multiplies <= 9 ** len(plan.levels)
+        if name == "t2112":
+            assert (tensor_of_decomposition(plan_uniform(64, rho, d, d=256)
+                                            .levels[0])
+                    == t2112_limit_tensor())
+
+    def test_unstable_level_without_unit_slot_is_refused(self):
+        """A level with no unit matmul slot runs exactly, so one whose rank
+        recursion would lose double precision at the planned level count
+        is refused, naming that count; a stable one still plans the
+        sweep."""
+        d = _halved_gammas(0.025)
+        assert _build_detector([d]).kind == "sweep"
+        with pytest.raises(PlanError, match="at 2 levels"):
+            _build_detector([d] * 2)
+        plan = plan_uniform(64, 0.8, _coefficient_two_matmul(), d=256)
+        assert plan.kernel == "sweep" and plan.notes == []
 
 
 class TestExpansionPath:
@@ -697,8 +735,9 @@ def _refuse_variance_map(*args):
 def _flag_round(name, seed):
     """A plan and one bucket round of it for each detector the flag pass
     sees: both mask kernels, a diagonal non-mask sweep level, an odd level
-    count (unequal half factors), the exact non-diagonal t2112 level, and
-    a hashing round whose empty buckets give V = 0 cells."""
+    count (unequal half factors), a non-diagonal level with no unit matmul
+    slot (t2112 at eps 0.5 with its gammas halved), and a hashing round
+    whose empty buckets give V = 0 cells."""
     n, dim, rho = 128, 256, 0.8
     inst = gen_planted(n, dim, rho, seed=950 + seed)
     if name == "sw-lsh":
@@ -715,7 +754,7 @@ def _flag_round(name, seed):
     levels = {"t2112": None, "strassen": None,
               "sw-L5": [sw_decomposition()] * 5,
               "coefficient-two-L4": [_coefficient_two_matmul()] * 4,
-              "t2112-exact-L3": [t2112_decomposition(0.5, warn=False)] * 3,
+              "t2112-exact-L3": [_halved_gammas(0.5)] * 3,
               }[name]
     base = {"t2112": t2112}.get(name, strassen_decomposition)()
     plan = plan_uniform(n, rho, base, d=dim)
@@ -752,8 +791,9 @@ class TestFlagPass:
                     assert got
 
     def test_non_diagonal_plan_scores_the_whole_map(self, monkeypatch):
-        """The exact t2112 levels keep off-diagonal pair weight, so they
-        have no half factors and detect takes the whole-map path."""
+        """The exact levels with no unit matmul slot keep off-diagonal pair
+        weight, so they have no half factors and detect takes the whole-map
+        path."""
         plan, st = _flag_round("t2112-exact-L3", 0)
         assert plan.kernel == "sweep" and plan.detector.factors is None
         plan.detect_sigma = 2.05

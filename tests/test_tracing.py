@@ -6,7 +6,7 @@ import importlib.util
 from pathlib import Path
 
 from lumen import solver
-from lumen.core import MultiplyCounter
+from lumen.core import Decomposition, MultiplyCounter
 from lumen.efficacy import rho_joint_matrix, t2112_flip_pair
 from lumen.instances import gen_planted
 from lumen.zoo import (strassen_decomposition, sw_decomposition,
@@ -24,8 +24,9 @@ def _load_tracing():
 
 def _solves(counter):
     """Two rounds each of t2112 uniform (subset_diag), strassen uniform
-    (masked_matmul), sw hashing and t2112 at eps 0.5 (sweep), on null
-    instances so that both rounds run, planned through lumen.solver."""
+    (masked_matmul), sw hashing and t2112 at eps 0.5 with every gamma
+    halved (sweep: it has no unit matmul slot), on null instances so that
+    both rounds run, planned through lumen.solver."""
     n, d, rho = 64, 256, 0.8
     inst = gen_planted(n, d, rho, seed=14, planted=False)
     kinds = set()
@@ -34,10 +35,13 @@ def _solves(counter):
         plan = solver.plan_uniform(n, rho, decomp, d=d, reps=2)
         kinds.add(plan.kernel)
         solver.solve_uniform(inst, decomp, plan=plan, seed=0, counter=counter)
-    exact = t2112_decomposition(0.5, warn=False)
-    plan = dataclasses.replace(solver.plan_uniform(n, rho, exact, d=d), reps=2)
+    t2112 = t2112_decomposition(0.5, warn=False)
+    halved = Decomposition(t2112.shape, tuple(
+        dataclasses.replace(t, gamma=t.gamma / 2) for t in t2112.terms))
+    plan = dataclasses.replace(solver.plan_uniform(n, rho, halved, d=d),
+                               reps=2)
     kinds.add(plan.kernel)
-    solver.solve_uniform(inst, exact, plan=plan, seed=0, counter=counter)
+    solver.solve_uniform(inst, halved, plan=plan, seed=0, counter=counter)
     sw = sw_decomposition()
     plan = solver.plan_lsh(n, rho_joint_matrix(0.6), sw, t2112_flip_pair(0.6),
                            d=d, reps=2)

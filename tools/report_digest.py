@@ -9,8 +9,10 @@ checkout, and compare the output:
     diff old.txt new.txt
 
 The grid covers both solvers and all three kernel kinds on planted and null
-instances, and one hashing plan whose sign mapping complements a side;
-rounds are capped at REPS so that null solves stay short.  Each grid plan
+instances, and one hashing plan whose sign mapping complements a side.
+Every zoo plan runs a mask kernel, so the sweep kind's row is a
+decomposition built here, with no unit matmul slot.  Rounds are capped at
+REPS so that null solves stay short.  Each grid plan
 prints its headline fields, the multiplies its detector plans a round and
 its rank product, its verification threshold and its notes, so a planner,
 detector or verification change shows.  It also scores one
@@ -27,7 +29,7 @@ import dataclasses
 import hashlib
 
 from lumen import zoo
-from lumen.core import MultiplyCounter
+from lumen.core import Decomposition, MultiplyCounter
 from lumen.efficacy import rho_joint_matrix, t2112_flip_pair
 from lumen.instances import gen_planted
 from lumen.solver import (bucket_uniform, detect, plan_lsh, plan_uniform,
@@ -37,16 +39,27 @@ REPS = 6
 D = 256
 SEEDS = (0, 1, 2)
 EPS = zoo.DEFAULT_EPS
-# (tensor, eps, lsh, n, rho, complemented); t2112 at eps 0.5 runs the sweep
-# kernel.  A complemented row plans for P with its columns reversed and
-# solves instances whose Y bits are all flipped, so the plan's sign mapping
+# (tensor, eps, lsh, n, rho, complemented); t2112-halved, t2112 with every
+# gamma halved, has no unit matmul slot and runs the sweep kernel.  A
+# complemented row plans for P with its columns reversed and solves
+# instances whose Y bits are all flipped, so the plan's sign mapping
 # anti-correlates the raw bits.
 GRID = (("strassen", EPS, False, 256, 0.8, False),
         ("t2112", EPS, False, 128, 0.8, False),
         ("sw", EPS, True, 128, 0.6, False),
         ("t2112", EPS, True, 112, 0.6, False),
         ("t2112", 0.5, False, 64, 0.8, False),
-        ("sw", EPS, True, 128, 0.6, True))
+        ("sw", EPS, True, 128, 0.6, True),
+        ("t2112-halved", 0.5, False, 64, 0.8, False))
+
+
+def decomposition(tensor, eps):
+    """The zoo decomposition, or t2112's with every gamma halved."""
+    if tensor != "t2112-halved":
+        return zoo.zoo_decomposition(tensor, eps)
+    d = zoo.t2112_decomposition(eps)
+    return Decomposition(d.shape, tuple(
+        dataclasses.replace(t, gamma=t.gamma / 2) for t in d.terms))
 
 
 def instance(n, rho, seed, complemented, planted=True):
@@ -56,7 +69,7 @@ def instance(n, rho, seed, complemented, planted=True):
 
 def solves():
     for tensor, eps, lsh, n, rho, complemented in GRID:
-        decomp = zoo.zoo_decomposition(tensor, eps)
+        decomp = decomposition(tensor, eps)
         name = f"{tensor} eps={eps} lsh={lsh} n={n}"
         if complemented:
             name += " complemented"
