@@ -319,18 +319,20 @@ def _build_detector(levels) -> Detector:
             continue
         t = tensor_of_decomposition(d)
         exec_d, exec_t, share = d, t, 0.0
-        if _unit_mask(t) is None:
+        mask = _unit_mask(t)
+        if mask is None:
             unit = _unit_slot_decomposition(t)
             if unit is not None:
                 exec_d, share = unit
                 exec_t = tensor_of_decomposition(exec_d)
+                mask = _unit_mask(exec_t)
             # relative error estimate of the full recursion: u * scale^L
             elif _stability_scale(d) ** L * 1.1e-16 > STABILITY_TOL:
                 raise PlanError(
                     f"a level with no unit matmul slot loses double "
                     f"precision in its rank recursion at {L} levels")
-        screened[id(d)] = (exec_d, _pair_weight_matrix(exec_t).T,
-                           _unit_mask(exec_t), share)
+        screened[id(d)] = (exec_d, _pair_weight_matrix(exec_t).T, mask,
+                           share)
     exec_levels, weights, masks, shares = zip(
         *(screened[id(d)] for d in levels))
     common = dict(levels=exec_levels, weights=weights,

@@ -137,8 +137,8 @@ def t2112_decomposition(eps: float = DEFAULT_EPS, warn: bool = True) -> Decompos
 
     Coefficients reach eps^-5, so the recursive application of this
     decomposition loses roughly a factor eps^-5 of precision per Kronecker
-    level.  The solver never runs it: at every eps it detects through the
-    six unit matmul slots, the t2112_limit_tensor mask.
+    level.  The solver never runs that recursion: at every eps it detects
+    through the six unit matmul slots, the t2112_limit_tensor mask.
     """
     e1, e3, e4, i1, i3 = _eps_atoms(eps)
     if warn and eps < EPS_CONDITION_WARN:
