@@ -28,13 +28,17 @@ coefficient spread would destroy double precision at the planned power.
 A mask level is described by its pair-weight matrix W_l and the slots E_l
 it omits, and a plan of masks runs one of two mask kernels.  The
 subset_diag kernel (levels whose E_l is one slot at each off cell and
-none on the diagonal, as t2112's is) runs each off-digit mask as one
-einsum over strided views of K-major operands whose row digits are
-rotated so that the mask's longest run of free digits is contiguous; its
-per-mask einsum table is built on the first apply.  The masked_matmul
-kernel (any other mask, as sw's; an exact matmul level omits no slot)
-expands the omitted slots by inclusion-exclusion into signed BLAS products
-over fixed-digit sub-blocks, and is one A @ B.T for matmul.
+none on the diagonal, as t2112's is) gathers its operands once so that
+the k digits each output row forces become an XOR on the row index; each
+off-digit mask is then one einsum whose inner loop runs over all m
+contiguous columns, the XOR on the columns split between a few permuted
+copies of one operand and a copy of the other per high part of the mask,
+and one gather lays the results out as C.  Its schedule is built on the
+first apply.  The masked_matmul kernel (any other mask, as sw's; an exact
+matmul level omits no slot) expands the omitted slots by
+inclusion-exclusion into signed BLAS products over fixed-digit sub-blocks,
+and is one A @ B.T for matmul.  A level with no unit matmul slot runs its
+rank recursion in float64, the precision its stability screen assumes.
 
 The variance reads only the W_l; it has one closed form and one oracle.  When
 every W_l is diagonal, as every mask level's is, _flag_cells flags a round
@@ -107,11 +111,11 @@ class PlanError(Exception):
 class Detector:
     """How a plan's detection step runs; built once by _build_detector.
 
-    kind is 'subset_diag' (one einsum per off-digit pattern over strided
-    views of row-rotated K-major operands), 'masked_matmul' (signed BLAS
+    kind is 'subset_diag' (one einsum per off-digit pattern, over all m
+    columns of XOR-indexed operand rows), 'masked_matmul' (signed BLAS
     products over the slots each level omits from matmul; one A @ B.T when
-    it omits none) or 'sweep' (the rank recursion).  levels are the
-    executable per-level decompositions and rank_product the paper's
+    it omits none) or 'sweep' (the rank recursion, in float64).  levels are
+    the executable per-level decompositions and rank_product the paper's
     prod(rank_l) over the planned ones.  dropped_var is the largest
     squared-mass share a level dropped to run its unit matmul slots.  Every
     kind keeps weights, the transposed pair-weight matrices W_l that the
@@ -153,8 +157,8 @@ class Detector:
 
     @cached_property
     def masks(self) -> tuple:
-        """The subset_diag kernel's per-mask einsum table, built on the
-        first apply rather than while planning."""
+        """The subset_diag kernel's schedule of gathers, copies and
+        einsums, built on the first apply rather than while planning."""
         return _subset_diag_masks(self.missing)
 
     def apply(self, A, B, counter: MultiplyCounter | None = None):
@@ -165,8 +169,10 @@ class Detector:
             return _apply_masked_matmul(
                 tuple(d.shape for d in self.levels), self.missing, A, B,
                 counter=counter)
-        return apply_power(self.levels, A, B, dtype=np.float32,
-                           counter=counter)
+        # the stability screen charges float64's roundoff, so the rank
+        # recursion runs in float64; C is scored in float32 like the others
+        return apply_power(self.levels, A, B, dtype=np.float64,
+                           counter=counter).astype(np.float32)
 
 
 @dataclass
@@ -350,134 +356,175 @@ def _build_detector(levels) -> Detector:
     return Detector("masked_matmul", missing=missing, **common)
 
 
-def _free_run_end(off) -> int:
-    """The digit r that ends, going down through r - 1, r - 2, ... (mod L),
-    the longest run of free (0) digits in off; L - 1 when none is free."""
-    L = len(off)
-    best, end, run = 0, L - 1, 0
-    for l in range(2 * L):       # a second lap sees the runs that wrap
-        run = 0 if off[l % L] else min(run + 1, L)
-        if run > best:
-            best, end = run, l % L
-    return end
-
-
-def _merge_axes(axes, ops: int):
-    """Shape and per-operand strides of a row of size-2 axes, each given as
-    a tuple of ops strides, with adjacent axes merged wherever every
-    operand's outer stride is twice its inner one."""
-    shape, strides = [], []
-    for st in axes:
-        if shape and all(o == 2 * i for o, i in zip(strides[-1], st)):
-            shape[-1] *= 2
-            strides[-1] = st
+def _row_digits(levels, fixed, row: int):
+    """(offset, shape, strides), in bytes, of the rows of a buffer whose
+    rows of row bytes are indexed by the given levels, most significant
+    first, with each level in fixed pinned to its digit there: one axis of
+    size 2 for each level left free."""
+    offset, shape, strides = 0, [], []
+    for pos, l in enumerate(levels):
+        stride = row << (len(levels) - 1 - pos)
+        if l in fixed:
+            offset += fixed[l] * stride
         else:
             shape.append(2)
-            strides.append(st)
-    return tuple(shape), [tuple(st[j] for st in strides) for j in range(ops)]
-
-
-_SUBSCRIPTS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+            strides.append(stride)
+    return offset, shape, strides
 
 
 def _subset_diag_masks(missing) -> tuple:
-    """The einsum of every off-digit mask of the subset_diag kernel.
+    """The schedule of the subset_diag kernel.
 
     missing holds each level's two omitted slots, (0, k, 1) and (1, k', 0):
-    its off cells (0, 1) and (1, 0) keep only the other k digit, so they
-    force k digits 1 - k and 1 - k'.  The kernel reads K-major operands
-    At[k, I'] whose rows are rotated: in rotation r, row digit l has weight
-    2^((r - l) mod L), so digit r is least significant.  Each mask runs in
-    the rotation whose lowest digits are its longest run of free digits, so
-    the einsum's inner loop walks that run contiguously.  Returns (r, entries) pairs, r
-    descending; an entry is (subscripts, shape, A offset, A strides,
-    B offset, B strides, out shape, C shape, C offset, C strides), offsets
-    and strides in bytes of float32, C[I, J] in the unrotated order.
+    its off cells (0, 1) and (1, 0) keep only the other k digit, so level
+    l forces the k digits f_l(0) = 1 - k and f_l(1) = 1 - k'.  Level l is
+    digit L - 1 - l of every index.  F(I) is the index whose digits are
+    f_l(I_l) and Delta the one whose digits are f_l(0) ^ f_l(1), so
+    F(I) = F(0) ^ (I & Delta).  With A'[X, I] = A[I, X ^ F(I)] and
+    B'[X, J] = B[J, X ^ F(J)], every cell whose off digits (where I and J
+    differ) are S reads
+
+        C[I, I ^ S] = sum over X & S = 0 of
+                      A'[X, I] B'[X ^ (Delta & S), I ^ S].
+
+    The lowest b = 1 digit of S makes S_lo, the others S_hi, and
+    D[S, P] = C[P ^ S_hi, P ^ S_lo].  Each further low digit would cut the
+    copies of A' by a third but add half again to B_lo: at b = 1 an apply
+    peaks at 4.5 m^2 floats (workspace 2 m^2, B_lo 1.5 m^2, D m^2), and
+    b = 2 was 5-8% faster at L = 10 with 5.25 m^2.  Returns
+    (L, b, gathers, steps, Z):
+
+    - gathers: for each S_lo, the rows Y & S_lo = 0 and the vector W_S_lo
+      such that B.flat[Y ^ W_S_lo] is row Y ^ (Delta & S_lo) of B' with its
+      columns XOR-permuted by S_lo: block S_lo of the buffer B_lo.  Block 0
+      is B' itself, and the same rows and W gather A'.
+    - steps: one (copy, einsums) per S_hi, in depth-first order.  The rows
+      X & S_hi = 0 of A', columns XOR-permuted by S_hi, are kept in a
+      workspace that holds A' and one slot per |S_hi|.  copy (None for
+      S_hi = 0, which reads A') is (shape, destination, source offset,
+      source strides) of the float32 views that build them from the slot of
+      S_hi less its most significant digit: pin that digit to 0 in the rows
+      and reverse it in the columns, so every copy moves runs of that
+      digit's weight.  einsums hold one (S, shape, A offset, A strides,
+      B offset, B strides, axes) per S_lo: the free rows of the workspace
+      slot and of block S_lo of B_lo, summed into row S of D.
+    - Z: the (2^b, m) table of the final gather, C[I, J] =
+      D.flat[(I_hi << (b + L)) ^ Z[I_lo, J]], I_hi and I_lo the high and
+      the low b digits of I.
+
+    Offsets and strides are in bytes.
     """
-    forced = [[1 - k for _, k, _ in E] for E in missing]
-    L, size = len(forced), np.dtype(np.float32).itemsize
+    L = len(missing)
     m = 1 << L
-    w = [1 << (L - 1 - l) for l in range(L)]
+    b = 1
+    forced = [(1 - E[0][1], 1 - E[1][1]) for E in missing]
+    bit = [1 << (L - 1 - l) for l in range(L)]
+    F0 = sum(f0 * w for (f0, _), w in zip(forced, bit))
+    delta = [f0 ^ f1 for f0, f1 in forced]
+    Delta = sum(d * w for d, w in zip(delta, bit))
+    P = np.arange(m)
+    size = np.dtype(np.float32).itemsize
+    row = size * m
 
-    def nbytes(strides):
-        return tuple(size * x for x in strides)
+    def levels(S, inside):
+        return [l for l in range(L) if bool(S & bit[l]) == inside]
 
-    groups: dict = {}
-    for mask in range(1 << L):
-        off = [mask >> (L - 1 - l) & 1 for l in range(L)]
-        r = _free_run_end(off)
-        rw = [1 << ((r - l) % L) for l in range(L)]
-        offs = [l for l in range(L) if off[l]]
-        free = [l for l in range(L) if not off[l]]
-        rows = sorted(free, key=lambda l: -rw[l])
-        # At[k, I'] sits at k m + I'.  Off digit chi reads A[chi, f] and
-        # B[1 - chi, f], f = forced[l][chi], into C[chi, 1 - chi]; free
-        # digits range over I = J (kept) and over k (summed)
-        k_step = [(forced[l][1] - forced[l][0]) * w[l] * m for l in offs]
-        k0 = sum(forced[l][0] * w[l] for l in offs) * m
-        c, (cA, cB) = _merge_axes([(rw[l] + d, d - rw[l])
-                                   for l, d in zip(offs, k_step)], 2)
-        k, (kA,) = _merge_axes([(w[l] * m,) for l in free], 1)
-        s, (sA,) = _merge_axes([(rw[l],) for l in rows], 1)
-        cells, (cC,) = _merge_axes([(w[l] * (m - 1),) for l in offs]
-                                   + [(w[l] * (m + 1),) for l in rows], 1)
-        ci = _SUBSCRIPTS[:len(c)]
-        ki = _SUBSCRIPTS[len(c):len(c + k)]
-        si = _SUBSCRIPTS[len(c + k):len(c + k + s)]
-        groups.setdefault(r, []).append((
-            f"{ci}{ki}{si},{ci}{ki}{si}->{ci}{si}", c + k + s,
-            size * k0, nbytes(cA + kA + sA),
-            size * (k0 + sum(rw[l] for l in offs)), nbytes(cB + kA + sA),
-            c + s, cells, size * sum(w[l] for l in offs), nbytes(cC)))
-    return tuple(sorted(groups.items(), reverse=True))
+    gathers, starts = [], [0]
+    for s in range(1 << b):
+        Ps = P ^ s
+        gathers.append((P[P & s == 0],
+                        ((Ps << L) | (F0 ^ (Ps & Delta))) ^ (Delta & s)))
+        starts.append(starts[-1] + len(gathers[-1][0]))
+    steps = []
+
+    def visit(S_hi, slot, parent, top):
+        # top is S_hi's most significant level, L - b when S_hi is 0
+        rows = levels(S_hi, False)
+        copy = None
+        if S_hi:
+            offset, shape, strides = _row_digits(
+                levels(S_hi ^ bit[top], False), {top: 0}, row)
+            run = size * bit[top]
+            copy = (tuple(shape + [m // (2 * bit[top]), 2, bit[top]]),
+                    slot * row, parent * row + offset + run,
+                    tuple(strides + [2 * run, -run, size]))
+        einsums = []
+        for s in range(1 << b):
+            ao, shape, a_st = _row_digits(rows, dict.fromkeys(
+                levels(s, True), 0), row)
+            bo, _, b_st = _row_digits(levels(s, False), {
+                l: delta[l] for l in levels(S_hi, True)}, row)
+            einsums.append((S_hi | s, tuple(shape + [m]), slot * row + ao,
+                            tuple(a_st + [size]), starts[s] * row + bo,
+                            tuple(b_st + [size]),
+                            list(range(len(shape) + 1))))
+        steps.append((copy, einsums))
+        for l in range(top):      # each child adds a more significant digit
+            visit(S_hi | bit[l], slot + (1 << len(rows)), slot, l)
+
+    visit(0, 0, 0, L - b)
+    lo = np.arange(1 << b)[:, None]
+    Jh, Jl = P >> b, P & ((1 << b) - 1)
+    Z = (Jh << (b + L)) | ((lo ^ Jl) << L) | (Jh << b) | lo
+    return L, b, gathers, steps, Z
 
 
-def _rotate_rows(M: np.ndarray, digits: int, tmp: np.ndarray):
-    """Move the lowest digits of M's column index to its top, in place, a
-    block of len(tmp) rows at a time."""
-    lo = 1 << digits
-    hi = M.shape[1] // lo
-    for i in range(0, len(M), len(tmp)):
-        block = M[i:i + len(tmp)]
-        np.copyto(tmp.reshape(-1, lo, hi),
-                  block.reshape(-1, hi, lo).transpose(0, 2, 1))
-        block[...] = tmp
+def _xor_take(X, rows, W, out):
+    """out[r, P] = X.flat[rows[r] ^ W[P]], a block of rows at a time.  The
+    indices are in range; mode "clip", unlike "raise", writes into out
+    without a buffer."""
+    block = max(1, (1 << 16) // len(W))
+    for r in range(0, len(rows), block):
+        np.take(X.reshape(-1), rows[r:r + block, None] ^ W,
+                out=out[r:r + block], mode="clip")
 
 
 def _apply_subset_diag(masks, A, B, counter: MultiplyCounter | None = None):
     """Exact application of unit-coefficient diag-free/off-forced tensors.
 
-    masks is the Detector's _subset_diag_masks table.  Every output pair
-    (I, J) determines its off digits (where I and J disagree) and with them
-    the forced k digits; the remaining digits contribute a plain inner
-    product.  So each off-digit mask is one einsum over strided views of the
-    K-major operands, summing the free k digits and keeping the free row
-    digits.  A and B are transposed once and their rows rotated in place
-    from one rotation to the next; no mask copies an operand.  The multiply
-    count is exactly prod(rank_l), as in the rank recursion.
+    masks is the Detector's _subset_diag_masks schedule.  Each off-digit
+    mask S is one einsum whose inner loop runs over all m contiguous
+    columns: C[I, I ^ S] = sum over X & S = 0 of A'[X, I]
+    B'[X ^ (Delta & S), I ^ S], A' and B' the gathered operands.  The XOR
+    by S on the columns is split between them.  B_lo holds, for each low
+    part S_lo of S, the rows of B' that the einsums read, their columns
+    XOR-permuted by S_lo.  For each high part S_hi, the rows X & S_hi = 0
+    of A' with their columns XOR-permuted by S_hi are copied from those of
+    S_hi less one digit.  Row S of D gathers C[P ^ S_hi, P ^ S_lo] over P,
+    and one gather, a block of rows at a time, lays D out as C.  The
+    operand buffers are freed before C is allocated.  On integer operands
+    every partial sum is a sum of products, so C is exact whenever every
+    cell's sum_K |A[I, K] B[J, K]| < 2^24.  The multiply count is exactly
+    prod(rank_l), as in the rank recursion.
     """
+    L, b, gathers, steps, Z = masks
     m = A.shape[0]
-    L = m.bit_length() - 1
-    # one allocation, returned whole when freed: two left heap holes that
-    # the variance map then allocated around, raising peak RSS
-    At, Bt = np.empty((2, m, m), dtype=np.float32)
-    tmp = np.empty((min(m, 128), m), dtype=np.float32)
-    for i in range(0, m, len(tmp)):     # a block at a time stays in cache
-        At[:, i:i + len(tmp)] = A[i:i + len(tmp)].T
-        Bt[:, i:i + len(tmp)] = B[i:i + len(tmp)].T
-    C = np.empty((m, m), dtype=np.float32)    # each cell is in one mask
-    out = np.empty(m, dtype=np.float32)
-    rotation = L - 1
-    for r, entries in masks:
-        if r != rotation:
-            _rotate_rows(At, rotation - r, tmp)
-            _rotate_rows(Bt, rotation - r, tmp)
-            rotation = r
-        for sub, shape, oa, sa, ob, sb, dshape, cshape, oc, sc in entries:
-            D = out[:math.prod(dshape)].reshape(dshape)
-            np.einsum(sub, np.ndarray(shape, np.float32, At, oa, sa),
-                      np.ndarray(shape, np.float32, Bt, ob, sb), out=D)
-            np.ndarray(cshape, np.float32, C, oc, sc)[...] = D.reshape(cshape)
+    work = np.empty((2 * m - (1 << b), m), dtype=np.float32)
+    B_lo = np.empty((sum(len(rows) for rows, _ in gathers), m),
+                    dtype=np.float32)
+    _xor_take(A, *gathers[0], work[:m])
+    start = 0
+    for rows, W in gathers:
+        _xor_take(B, rows, W, B_lo[start:start + len(rows)])
+        start += len(rows)
+    D = np.empty((m, m), dtype=np.float32)
+    for copy, einsums in steps:
+        if copy is not None:
+            shape, dest, offset, strides = copy
+            np.copyto(np.ndarray(shape, np.float32, work, dest),
+                      np.ndarray(shape, np.float32, work, offset, strides))
+        for S, shape, ao, a_st, bo, b_st, axes in einsums:
+            np.einsum(np.ndarray(shape, np.float32, work, ao, a_st), axes,
+                      np.ndarray(shape, np.float32, B_lo, bo, b_st), axes,
+                      axes[-1:], out=D[S])
+    del work, B_lo
+    C = np.empty((m, m), dtype=np.float32)
+    block = max(1, 64 >> b)             # values of I_hi a gather fills
+    for i in range(0, m >> b, block):
+        I_hi = np.arange(i, min(i + block, m >> b))
+        np.take(D.reshape(-1), (I_hi << (b + L))[:, None, None] ^ Z,
+                out=C[i << b:(i + len(I_hi)) << b].reshape(-1, 1 << b, m),
+                mode="clip")
     if counter is not None:
         counter.add(6 ** L)      # 2 x 2 diagonal and 2 off products a level
     return C

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -408,6 +409,64 @@ class TestSubsetDiagKernel:
         assert np.array_equal(C, apply_power(det.levels, A, B,
                                              dtype=np.float64))
 
+    @pytest.mark.parametrize("L", (1, 2, 3, 4, 7))
+    @pytest.mark.parametrize("first", range(4))
+    def test_every_forced_digit_pair(self, L, first):
+        """Levels built through the Python API that omit (0, k, 1) and
+        (1, k', 0), for all four (k, k'), mixed level by level; k = k'
+        forces the same k digit at both off cells (Delta_l = 0), which no
+        zoo plan has.  On integer operands in [-4, 4] the kernel equals the
+        float64 rank recursion bit for bit and counts 6^L."""
+        pairs = [(0, 1), (1, 0), (0, 0), (1, 1)]
+        levels = [_six_slot_level(*pairs[(first + l) % 4]) for l in range(L)]
+        det = _build_detector(levels)
+        assert det.kind == "subset_diag"
+        assert det.missing == tuple(((0, k, 1), (1, k2, 0)) for k, k2 in
+                                    (pairs[(first + l) % 4]
+                                     for l in range(L)))
+        A, B = _integer_operands(det, 100 * L + first)
+        counter = MultiplyCounter()
+        C = _apply_subset_diag(det.masks, A, B, counter=counter)
+        assert np.array_equal(C, apply_power(det.levels, A, B,
+                                             dtype=np.float64))
+        assert counter.count == 6 ** L
+
+    def test_ten_levels_equal_the_masked_matmul_kernel(self):
+        """At the benchmark's L = 10, t2112's kernel equals the
+        independent exact masked_matmul kernel on the same mask, bit for
+        bit, on integer operands."""
+        det = _build_detector([t2112()] * 10)
+        A, B = _integer_operands(det, 10)
+        C = _apply_subset_diag(det.masks, A, B)
+        assert np.array_equal(C, _apply_masked_matmul(
+            tuple(d.shape for d in det.levels), det.missing, A, B))
+
+    def test_peak_memory(self):
+        """One L = 10 apply allocates at most 6 m^2 float32 at its peak,
+        C included."""
+        det = _build_detector([t2112()] * 10)
+        A, B = _integer_operands(det, 11)
+        masks = det.masks
+        tracemalloc.start()
+        try:
+            _apply_subset_diag(masks, A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * det.m ** 2 * np.dtype(np.float32).itemsize
+
+
+def _six_slot_level(k, k2):
+    """The q = 2 unit level that keeps every diagonal slot and, at its off
+    cells, only (0, 1 - k, 1) and (1, 1 - k2, 0)."""
+    terms = []
+    for i, kk, j in ((0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 1),
+                     (0, 1 - k, 1), (1, 1 - k2, 0)):
+        a, b, g = np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))
+        a[i, kk] = b[j, kk] = g[i, j] = 1.0
+        terms.append(Rank1Term(a, b, g))
+    return Decomposition(TensorShape(2, 2, 2), tuple(terms))
+
 
 def _integer_operands(det, seed, top=4):
     rng = np.random.default_rng(seed)
@@ -648,6 +707,27 @@ class TestDetector:
             assert (tensor_of_decomposition(plan_uniform(64, rho, d, d=256)
                                             .levels[0])
                     == t2112_limit_tensor())
+
+    def test_sweep_runs_in_double_precision(self):
+        """The stability screen charges float64's roundoff, so the sweep
+        kind must run its rank recursion in float64.  The digest's round of
+        t2112 at eps 0.5 with every gamma halved (N=8, null instance, bucket
+        seed 0) lost every bit of some cells in float32: cell (255, 255)
+        read 37.89 against 0.0899, and the round flagged 585 cells, not
+        39.  Its C must match float64 apply_power within the bench gate's
+        1e-4."""
+        d = _halved_gammas(0.5)
+        plan = plan_uniform(64, 0.8, d, d=256)
+        assert plan.kernel == "sweep" and plan.N == 8
+        inst = gen_planted(64, 256, 0.8, seed=900, planted=False)
+        state = bucket_uniform(inst, plan, 0)
+        _, _, C, _ = detect(state, plan, return_scores=True)
+        ref = apply_power(plan.levels, state.agg_x * state.signs_x[:, None],
+                          state.agg_y * state.signs_y[:, None],
+                          dtype=np.float64)
+        assert C.dtype == np.float32
+        assert np.abs(C - ref).max() <= 1e-4 * np.abs(ref).max()
+        assert len(detect(state, plan)) == 39
 
     def test_unstable_level_without_unit_slot_is_refused(self):
         """A level with no unit matmul slot runs exactly, so one whose rank

@@ -9,7 +9,11 @@
 # <rev> first and even seeds this checkout first.  It prints, for each
 # gated end-to-end metric, both sides' medians and quartiles, the spread of
 # <rev>'s quartiles against the metric's bound, the per-pair ratios and how
-# many pairs this checkout won.  It runs only what bench/run.py runs.
+# many pairs this checkout won.  It runs only what bench/run.py runs.  It
+# also writes that summary to BENCH_<workload>.json at the checkout root:
+# both revisions (this checkout's HEAD, and whether its tree had local
+# changes) and, per metric, the medians, quartiles, <rev>'s spread, the
+# win count and the per-pair ratios.
 # Exits 0 when every run finished, 1 when a run failed its correctness
 # gate or printed no result, 2 on a usage or export error.
 #
@@ -42,12 +46,22 @@ while [ "$s" -le "$3" ]; do
     s=$((s + 1))
 done
 
-python3 - "$root/BENCHMARK.json" "$tmp/runs" "$1" "$2" "$3" <<'EOF'
+old_commit=$(git -C "$root" rev-parse "$1^{commit}")
+new_commit=$(git -C "$root" rev-parse HEAD)
+if [ -n "$(git -C "$root" status --porcelain --untracked-files=no)" ]; then
+    dirty=1
+else
+    dirty=0
+fi
+
+python3 - "$root/BENCHMARK.json" "$tmp/runs" "$1" "$2" "$3" "$root" \
+    "$old_commit" "$new_commit" "$dirty" "$seconds" <<'EOF'
 import json
 import statistics
 import sys
 
-spec, runs, rev, workload, pairs = sys.argv[1:]
+(spec, runs, rev, workload, pairs, root, old_commit, new_commit, dirty,
+ seconds) = sys.argv[1:]
 pairs = int(pairs)
 ok = True
 results = {}
@@ -77,6 +91,15 @@ def quartiles(values):
 seeds = [s for s in range(1, pairs + 1)
          if ("old", s) in results and ("new", s) in results]
 print(f"{workload}: {rev} against this checkout, {len(seeds)} pairs")
+record = {
+    "workload": workload,
+    "command": f"python3 bench/run.py --workload {workload} --seed S "
+               f"--seconds {seconds}",
+    "seeds": seeds,
+    "old": {"rev": rev, "commit": old_commit},
+    "new": {"commit": new_commit, "local_changes": dirty == "1"},
+    "metrics": {},
+}
 for metric in json.load(open(spec))["end_to_end"]:
     name, higher = metric["name"], metric["better"] == "higher"
     old = [results["old", s][name] for s in seeds]
@@ -96,5 +119,14 @@ for metric in json.load(open(spec))["end_to_end"]:
           f"{q_new[2]:.4g}")
     print(f"  medians {change:+.1%}; this checkout better in {wins} of "
           f"{len(seeds)}; per-pair new/old: {ratios}")
+    record["metrics"][name] = {
+        "better": metric["better"], "bound": metric["bound"],
+        "old_median": q_old[1], "old_quartiles": [q_old[0], q_old[2]],
+        "new_median": q_new[1], "new_quartiles": [q_new[0], q_new[2]],
+        "old_spread": spread, "median_change": change, "wins": wins,
+        "ratios": [n / o if o else None for o, n in zip(old, new)]}
+with open(f"{root}/BENCH_{workload}.json", "w") as f:
+    json.dump(record, f, indent=2)
+    f.write("\n")
 sys.exit(0 if ok and len(seeds) == pairs else 1)
 EOF
