@@ -23,7 +23,7 @@ coefficient 1: a 0/1 mask over the matmul slots (strassen, sw) keeps its
 own decomposition, and any other level with such slots (t2112 at every
 eps) runs the unit terms of exactly those slots, the squared-mass share
 it drops recorded on the plan.  A level with no unit matmul slot runs its
-rank recursion exactly, the sweep kind, and is refused when its
+rank recursion exactly in float64, the sweep kind, and is refused when its
 coefficient spread would destroy double precision at the planned power.
 A mask level is described by its pair-weight matrix W_l and the slots E_l
 it omits, and a plan of masks runs one of two mask kernels.  The
@@ -31,14 +31,13 @@ subset_diag kernel (levels whose E_l is one slot at each off cell and
 none on the diagonal, as t2112's is) gathers its operands once so that
 the k digits each output row forces become an XOR on the row index; each
 off-digit mask is then one einsum whose inner loop runs over all m
-contiguous columns, the XOR on the columns split between a few permuted
-copies of one operand and a copy of the other per high part of the mask,
+contiguous columns, the XOR on the columns split between a permuted copy
+of half of one operand and a copy of the other per high part of the mask,
 and one gather lays the results out as C.  Its schedule is built on the
 first apply.  The masked_matmul kernel (any other mask, as sw's; an exact
 matmul level omits no slot) expands the omitted slots by
 inclusion-exclusion into signed BLAS products over fixed-digit sub-blocks,
-and is one A @ B.T for matmul.  A level with no unit matmul slot runs its
-rank recursion in float64, the precision its stability screen assumes.
+and is one A @ B.T for matmul.
 
 The variance reads only the W_l; it has one closed form and one oracle.  When
 every W_l is diagonal, as every mask level's is, _flag_cells flags a round
@@ -482,17 +481,12 @@ def _xor_take(X, rows, W, out):
 def _apply_subset_diag(masks, A, B, counter: MultiplyCounter | None = None):
     """Exact application of unit-coefficient diag-free/off-forced tensors.
 
-    masks is the Detector's _subset_diag_masks schedule.  Each off-digit
-    mask S is one einsum whose inner loop runs over all m contiguous
-    columns: C[I, I ^ S] = sum over X & S = 0 of A'[X, I]
-    B'[X ^ (Delta & S), I ^ S], A' and B' the gathered operands.  The XOR
-    by S on the columns is split between them.  B_lo holds, for each low
-    part S_lo of S, the rows of B' that the einsums read, their columns
-    XOR-permuted by S_lo.  For each high part S_hi, the rows X & S_hi = 0
-    of A' with their columns XOR-permuted by S_hi are copied from those of
-    S_hi less one digit.  Row S of D gathers C[P ^ S_hi, P ^ S_lo] over P,
-    and one gather, a block of rows at a time, lays D out as C.  The
-    operand buffers are freed before C is allocated.  On integer operands
+    masks is the Detector's _subset_diag_masks schedule, which states the
+    identity it runs.  A' and the blocks of B_lo are gathered, each high
+    part's rows of A' are copied from its parent's, one einsum over all m
+    contiguous columns per off-digit mask S fills row S of D, and one
+    gather, a block of rows at a time, lays D out as C.  The operand
+    buffers are freed before C is allocated.  On integer operands
     every partial sum is a sum of products, so C is exact whenever every
     cell's sum_K |A[I, K] B[J, K]| < 2^24.  The multiply count is exactly
     prod(rank_l), as in the rank recursion.
