@@ -24,7 +24,8 @@ from lumen.solver import (BucketState, PlanError, bucket_uniform, detect,
                           _apply_masked_matmul, _apply_subset_diag,
                           _bucket_index, _bucket_state, _build_detector,
                           _collect_candidates, _dedupe_rows,
-                          _lsh_memberships, _pair_weight_matrix,
+                          _lsh_memberships, _masked_matmul_schedule,
+                          _pair_weight_matrix,
                           _threshold_choice, _unit_mask, _variance_map)
 from lumen.zoo import (matmul_tensor, strassen_decomposition,
                        sw_decomposition, t2112_decomposition,
@@ -160,8 +161,8 @@ class TestPlanUniform:
         in one row (V_x = |S|^2 > |S|^1.5), so the plan runs T interleaved
         with its reflection: 2N levels, alternating, 4^N buckets a side.
         Its weights are diagonal and the closed form of its half factors
-        equals the variance sweep.  Plan only: each level omits four slots,
-        so one masked_matmul round runs 5^(2N) BLAS products."""
+        equals the variance sweep.  Plan only; TestMaskedMatmulKernel runs
+        it."""
         d = _keep_row_zero()
         t = tensor_of_decomposition(d)
         reflected = tensor_of_decomposition(reflect_decomposition(d))
@@ -438,17 +439,19 @@ class TestSubsetDiagKernel:
         det = _build_detector([t2112()] * 10)
         A, B = _integer_operands(det, 10)
         C = _apply_subset_diag(det.masks, A, B)
-        assert np.array_equal(C, _apply_masked_matmul(
-            tuple(d.shape for d in det.levels), det.missing, A, B))
+        assert np.array_equal(C, _apply_masked_matmul(_masked_matmul_schedule(
+            tuple(d.shape for d in det.levels), det.missing), A, B))
 
     def test_peak_memory(self):
-        """One L = 10 apply allocates at most 6 m^2 float32 at its peak,
-        C included."""
+        """At L = 10 the schedule, whose buffers hold 4.5 m^2 float32, and
+        two applies allocate at most 6 m^2 float32 at their peak, both C
+        included: an apply allocates only its C."""
         det = _build_detector([t2112()] * 10)
         A, B = _integer_operands(det, 11)
-        masks = det.masks
         tracemalloc.start()
         try:
+            masks = det.masks
+            _apply_subset_diag(masks, A, B)
             _apply_subset_diag(masks, A, B)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -489,20 +492,32 @@ class TestMaskedMatmulKernel:
     def test_integer_operands_exact_and_count(self, name, n):
         """Bucket sums are small integers, so the kernel's float32 sums are
         exact: C must equal the float64 rank recursion bit for bit, and it
-        runs prod(q_i q_k q_j + |E_l|) = 9^L multiplies."""
+        runs the schedule's closed-form count, 9^L while no box is trimmed
+        (L <= 7) and fewer beyond."""
         det = _build_detector(_masked_levels(name, n))
         assert det.kind == "masked_matmul"
         assert all(len(E) == 1 for E in det.missing)
+        L = len(det.levels)
         A, B = _integer_operands(det, det.m + n)
         counter = MultiplyCounter()
         C = det.apply(A, B, counter=counter)
         assert C.dtype == np.float32
         assert np.array_equal(C, apply_power(det.levels, A, B,
                                              dtype=np.float64))
-        want = math.prod(d.shape.q_i * d.shape.q_k * d.shape.q_j + len(E)
-                         for d, E in zip(det.levels, det.missing))
-        assert counter.count == det.multiplies == want == 9 ** len(det.levels)
-        assert det.rank_product == 6 ** len(det.levels)
+        assert counter.count == det.multiplies == _sw_multiplies(L)
+        assert det.multiplies == _scheduled_multiplies(det.groups)
+        assert (det.multiplies == 9 ** L) == (L <= 7)
+        assert det.rank_product == 6 ** L
+
+    def test_sw_schedule_at_the_benchmark_plan(self):
+        """The mixed-1k sw hashing plan's L = 10 schedule: 2^10 groups in
+        1,122 products at 2.09e9 multiplies, against 9^10 = 3.49e9 for
+        inclusion-exclusion.  Schedule only."""
+        det = _build_detector(_masked_levels("sw-reflected", 5))
+        ops = det.groups[0]
+        assert sum(out is not None for _, _, out in ops) == 1122
+        assert det.multiplies == _sw_multiplies(10) == 2090081169
+        assert det.multiplies == _scheduled_multiplies(det.groups)
 
     @pytest.mark.parametrize("L", (1, 2, 3, 5))
     def test_matmul_is_one_blas_product(self, L):
@@ -529,11 +544,70 @@ class TestMaskedMatmulKernel:
         assert len(missing) == 2
         A, B = _integer_operands(det, L)
         counter = MultiplyCounter()
-        C = _apply_masked_matmul([d.shape for d in det.levels],
-                                 [missing] * L, A, B, counter=counter)
+        C = _apply_masked_matmul(_masked_matmul_schedule(
+            [d.shape for d in det.levels], [missing] * L), A, B,
+            counter=counter)
         assert np.array_equal(C, apply_power(det.levels, A, B,
                                              dtype=np.float64))
         assert counter.count == 10 ** L
+
+    @pytest.mark.parametrize("L", range(1, 11))
+    def test_random_masks(self, L):
+        """Levels built through the Python API that omit a random subset of
+        the 8 slots, none and all included, mixed level by level.  Each
+        level's subset is drawn until the schedule holds at most 2^12
+        groups.  On integer operands the kernel equals the float64 rank
+        recursion bit for bit and counts the multiplies of its products."""
+        rng = np.random.default_rng(1000 + L)
+        slots = [(i, k, j) for i in range(2) for k in range(2)
+                 for j in range(2)]
+        shape = TensorShape(2, 2, 2)
+        levels, groups = [], 1
+        draws = [set(), set(slots)] if L == 2 else []
+        while len(levels) < L:
+            E = draws.pop() if draws else {
+                s for s in slots if rng.random() < 0.5}
+            units = len(solver._level_units(shape, E))
+            if groups * max(units, 1) <= 2 ** 12:
+                levels.append(_mask_level(shape, E))
+                groups *= max(units, 1)
+        _check_masked_matmul(levels, L)
+
+    @pytest.mark.parametrize("L", (1, 2, 3))
+    def test_three_by_three_masks(self, L):
+        """<3, 3, 3> levels, which only the Python API builds, whose cells
+        allow inner digits that are no run ({0, 2}) and whose classes are
+        no box: the units split into runs, and a level whose boxes cannot
+        be painted in order splits by row."""
+        shape = TensorShape(3, 3, 3)
+        levels = [
+            _mask_level(shape, {(0, 1, 0), (2, 1, 2), (1, 0, 1)}),
+            _mask_level(shape, {(0, 0, 0), (1, 0, 1), (2, 0, 2), (0, 2, 1),
+                                (1, 2, 0), (2, 1, 1)}),
+            _mask_level(shape, {(i, k, j) for i in range(3) for k in range(3)
+                                for j in range(3) if (i + j) % 2})]
+        _check_masked_matmul(levels[:L], L)
+
+    def test_mixed_shapes(self):
+        """A <3, 2, 2> level (q_i = 3, q_j = 2, q_k = 2) among sw levels."""
+        levels = [sw_decomposition(),
+                  _mask_level(TensorShape(3, 2, 2), {(0, 0, 0), (2, 1, 1)}),
+                  sw_decomposition()]
+        _check_masked_matmul(levels, 7)
+
+    def test_keep_row_zero_is_one_product(self):
+        """Every omitted cell of the i = 0 tensor allows no k, so its
+        symmetrized plan (N = 4, 8 levels, m = 256) is one product of the
+        2^N rows that are 0 on the T levels and the 2^N columns that are 0
+        on the reflected ones, over all d' inner digits, where
+        inclusion-exclusion ran 5^8 products."""
+        d = _keep_row_zero()
+        plan = plan_uniform(128, 0.9, d, d=256)
+        det = plan.detector
+        assert plan.N == 4 and len(det.levels) == 8
+        assert sum(out is not None for _, _, out in det.groups[0]) == 1
+        assert det.multiplies == 2 ** 4 * det.d_prime * 2 ** 4
+        _check_masked_matmul(det.levels, 128)
 
     @pytest.mark.parametrize("name, n", [("sw", 6), ("sw-reflected", 3)])
     def test_exact_up_to_the_single_product_bound(self, name, n):
@@ -550,6 +624,58 @@ class TestMaskedMatmulKernel:
         C = det.apply(A, B)
         assert np.array_equal(C, apply_power(det.levels, A, B,
                                              dtype=np.float64))
+
+
+def _mask_level(shape, omitted):
+    """The unit decomposition of the matmul slots (i, k, j) of shape that
+    are not in omitted."""
+    terms = []
+    for i in range(shape.q_i):
+        for k in range(shape.q_k):
+            for j in range(shape.q_j):
+                if (i, k, j) not in omitted:
+                    a = np.zeros((shape.q_i, shape.q_k)); a[i, k] = 1
+                    b = np.zeros((shape.q_j, shape.q_k)); b[j, k] = 1
+                    g = np.zeros((shape.q_i, shape.q_j)); g[i, j] = 1
+                    terms.append(Rank1Term(a, b, g))
+    return Decomposition(shape, tuple(terms))
+
+
+def _sw_multiplies(L):
+    """The schedule's multiplies at L sw levels, in closed form.  The group
+    that pins the levels Z has f = L - |Z| free levels and a 2^f x 2^f x
+    2^f box, trimmed by row digit on its top max(0, f - b) levels, b =
+    log2 BLOCK_ROWS, each of which keeps 3 of its 4 cells."""
+    b = solver.BLOCK_ROWS.bit_length() - 1
+    return sum(math.comb(L, f) * 8 ** f * 3 ** max(0, f - b)
+               // 4 ** max(0, f - b) for f in range(L + 1))
+
+
+def _scheduled_multiplies(groups):
+    """The multiplies of a schedule's products, read off their operand
+    shapes."""
+    return sum(a.shape[0] * a.shape[1] * b.shape[1]
+               if isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+               else math.prod(a[1]) * b[1][1]
+               for a, b, out in groups[0] if out is not None)
+
+
+def _check_masked_matmul(levels, seed):
+    """The masked_matmul kernel on levels equals the float64 rank recursion
+    bit for bit on integer operands, and counts exactly the multiplies of
+    its products."""
+    det = _build_detector(levels)
+    assert det.kind == "masked_matmul"
+    rng = np.random.default_rng(seed)
+    A = rng.integers(-3, 4, (det.m, det.d_prime)).astype(np.float32)
+    B = rng.integers(-3, 4, (math.prod(d.shape.q_j for d in levels),
+                             det.d_prime)).astype(np.float32)
+    counter = MultiplyCounter()
+    C = det.apply(A, B, counter=counter)
+    assert C.dtype == np.float32
+    assert np.array_equal(C, apply_power(det.levels, A, B, dtype=np.float64))
+    assert counter.count == det.multiplies == _scheduled_multiplies(
+        det.groups)
 
 
 def _count_variance_cases():

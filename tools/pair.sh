@@ -1,7 +1,7 @@
 #!/bin/sh
 # Run one benchmark workload in alternating pairs: another revision's tree
 # against this checkout.  Exports <rev> with git archive into a temporary
-# directory, then for seeds 1..<pairs> runs
+# directory, then for the <pairs> seeds from <first-seed> (default 1) runs
 #
 #     python3 bench/run.py --workload <workload> --seed S --seconds T
 #
@@ -18,12 +18,20 @@
 # gate or printed no result, 2 on a usage or export error.
 #
 #     tools/pair.sh HEAD~1 strassen-uniform-4k 6
+#     tools/pair.sh HEAD~1 mixed-1k 10 11      # seeds 11..20
 set -eu
 
-if [ $# -ne 3 ]; then
-    echo "usage: $0 <rev> <workload> <pairs>" >&2
+if [ $# -lt 3 ] || [ $# -gt 4 ]; then
+    echo "usage: $0 <rev> <workload> <pairs> [first-seed]" >&2
     exit 2
 fi
+first=${4:-1}
+case "$3$first" in
+    *[!0-9]*)
+        echo "usage: $0 <rev> <workload> <pairs> [first-seed]" >&2
+        exit 2 ;;
+esac
+last=$((first + $3 - 1))
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -34,8 +42,8 @@ git -C "$root" archive "$1" | tar -x -C "$tmp/old" || exit 2
 seconds=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
     "$root/BENCHMARK.json")
 
-s=1
-while [ "$s" -le "$3" ]; do
+s=$first
+while [ "$s" -le "$last" ]; do
     if [ $((s % 2)) -eq 1 ]; then order="old new"; else order="new old"; fi
     for side in $order; do
         if [ "$side" = old ]; then dir=$tmp/old; else dir=$root; fi
@@ -55,18 +63,18 @@ else
 fi
 
 python3 - "$root/BENCHMARK.json" "$tmp/runs" "$1" "$2" "$3" "$root" \
-    "$old_commit" "$new_commit" "$dirty" "$seconds" <<'EOF'
+    "$old_commit" "$new_commit" "$dirty" "$seconds" "$first" <<'EOF'
 import json
 import statistics
 import sys
 
 (spec, runs, rev, workload, pairs, root, old_commit, new_commit, dirty,
- seconds) = sys.argv[1:]
-pairs = int(pairs)
+ seconds, first) = sys.argv[1:]
+pairs, first = int(pairs), int(first)
 ok = True
 results = {}
 for side in ("old", "new"):
-    for s in range(1, pairs + 1):
+    for s in range(first, first + pairs):
         try:
             with open(f"{runs}/{side}-{s}.json") as f:
                 result = json.load(f)
@@ -88,7 +96,7 @@ def quartiles(values):
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-seeds = [s for s in range(1, pairs + 1)
+seeds = [s for s in range(first, first + pairs)
          if ("old", s) in results and ("new", s) in results]
 print(f"{workload}: {rev} against this checkout, {len(seeds)} pairs")
 record = {
