@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lumen import solver
+from lumen import masked, solver
 from lumen.core import (MultiplyCounter, Rank1Term, Decomposition,
                         TensorShape, _interleave, _sweep, _uninterleave,
                         apply_power, kronecker, reflect_decomposition,
@@ -21,11 +21,10 @@ from lumen.instances import (SplitFamily, expand_vectors, gen_planted,
 from lumen.solver import (BucketState, PlanError, bucket_uniform, detect,
                           plan_lsh, plan_uniform, skew_metrics, solve_lsh,
                           solve_uniform, verify_candidates, verify_threshold,
-                          _apply_masked_matmul, _apply_subset_diag,
+                          _apply_subset_diag,
                           _bucket_index, _bucket_state, _build_detector,
                           _collect_candidates, _dedupe_rows,
-                          _lsh_memberships, _masked_matmul_schedule,
-                          _pair_weight_matrix,
+                          _lsh_memberships, _pair_weight_matrix,
                           _threshold_choice, _unit_mask, _variance_map)
 from lumen.zoo import (matmul_tensor, strassen_decomposition,
                        sw_decomposition, t2112_decomposition,
@@ -439,7 +438,7 @@ class TestSubsetDiagKernel:
         det = _build_detector([t2112()] * 10)
         A, B = _integer_operands(det, 10)
         C = _apply_subset_diag(det.masks, A, B)
-        assert np.array_equal(C, _apply_masked_matmul(_masked_matmul_schedule(
+        assert np.array_equal(C, masked.apply(masked.schedule(
             tuple(d.shape for d in det.levels), det.missing), A, B))
 
     def test_peak_memory(self):
@@ -511,8 +510,8 @@ class TestMaskedMatmulKernel:
 
     def test_sw_schedule_at_the_benchmark_plan(self):
         """The mixed-1k sw hashing plan's L = 10 schedule: 2^10 groups in
-        1,122 products at 2.09e9 multiplies, against 9^10 = 3.49e9 for
-        inclusion-exclusion.  Schedule only."""
+        1,122 products at 2.09e9 multiplies, where its untrimmed boxes
+        would run 9^10 = 3.49e9.  Schedule only."""
         det = _build_detector(_masked_levels("sw-reflected", 5))
         ops = det.groups[0]
         assert sum(out is not None for _, _, out in ops) == 1122
@@ -544,7 +543,7 @@ class TestMaskedMatmulKernel:
         assert len(missing) == 2
         A, B = _integer_operands(det, L)
         counter = MultiplyCounter()
-        C = _apply_masked_matmul(_masked_matmul_schedule(
+        C = masked.apply(masked.schedule(
             [d.shape for d in det.levels], [missing] * L), A, B,
             counter=counter)
         assert np.array_equal(C, apply_power(det.levels, A, B,
@@ -567,7 +566,7 @@ class TestMaskedMatmulKernel:
         while len(levels) < L:
             E = draws.pop() if draws else {
                 s for s in slots if rng.random() < 0.5}
-            units = len(solver._level_units(shape, E))
+            units = len(masked._level_units(shape, E))
             if groups * max(units, 1) <= 2 ** 12:
                 levels.append(_mask_level(shape, E))
                 groups *= max(units, 1)
@@ -599,8 +598,7 @@ class TestMaskedMatmulKernel:
         """Every omitted cell of the i = 0 tensor allows no k, so its
         symmetrized plan (N = 4, 8 levels, m = 256) is one product of the
         2^N rows that are 0 on the T levels and the 2^N columns that are 0
-        on the reflected ones, over all d' inner digits, where
-        inclusion-exclusion ran 5^8 products."""
+        on the reflected ones, over all d' inner digits."""
         d = _keep_row_zero()
         plan = plan_uniform(128, 0.9, d, d=256)
         det = plan.detector
@@ -646,7 +644,7 @@ def _sw_multiplies(L):
     that pins the levels Z has f = L - |Z| free levels and a 2^f x 2^f x
     2^f box, trimmed by row digit on its top max(0, f - b) levels, b =
     log2 BLOCK_ROWS, each of which keeps 3 of its 4 cells."""
-    b = solver.BLOCK_ROWS.bit_length() - 1
+    b = masked.BLOCK_ROWS.bit_length() - 1
     return sum(math.comb(L, f) * 8 ** f * 3 ** max(0, f - b)
                // 4 ** max(0, f - b) for f in range(L + 1))
 
