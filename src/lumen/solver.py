@@ -34,14 +34,14 @@ off-digit mask is then one einsum whose inner loop runs over all m
 contiguous columns, the XOR on the columns split between a permuted copy
 of half of one operand and a copy of the other per high part of the mask,
 and one gather lays the results out as C.  The masked_matmul kernel (any
-other mask, as sw's; an exact matmul level omits no slot) groups the cells,
-level by level, by the inner digits they allow, and computes each group's
-cells with one BLAS product over exactly those digits.  Groups run depth
-first, each gathering its operands from its parent's, and a later group
-overwrites the cells of its own that an earlier group's box covers, so
-every cell is written from one product and nothing is subtracted; for
-matmul it is one A @ B.T.  Both kernels build their schedule, buffers
-included, on the first apply.
+other mask, as sw's; an exact matmul level omits no slot; lumen.masked)
+groups the cells, level by level, by the inner digits they allow, and
+computes each group's cells with one BLAS product over exactly those
+digits.  Groups run depth first, each gathering its operands from its
+parent's, and a later group overwrites the cells of its own that an
+earlier group's box covers, so every cell is written from one product and
+nothing is subtracted; for matmul it is one A @ B.T.  Both kernels build
+their schedule, buffers included, on the first apply.
 
 The variance reads only the W_l; it has one closed form and one oracle.  When
 every W_l is diagonal, as every mask level's is, _flag_cells flags a round
@@ -119,8 +119,9 @@ class Detector:
     per group of cells that allow the same inner digits on every level;
     one A @ B.T when no slot is omitted) or 'sweep' (the rank recursion, in
     float64).  levels are the executable per-level decompositions and
-    rank_product the paper's prod(rank_l) over the planned ones.  dropped_var is the largest
-    squared-mass share a level dropped to run its unit matmul slots.  Every
+    rank_product the paper's prod(rank_l) over the planned ones.
+    dropped_var is the largest squared-mass share a level dropped to run
+    its unit matmul slots.  Every
     kind keeps weights, the transposed pair-weight matrices W_l that the
     variance reads; the mask kinds keep missing, each level's omitted
     (i, k, j) slots E_l, from which their kernels are built.  Those
