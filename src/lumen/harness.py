@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .core import (MultiplyCounter, apply_direct, apply_power,
+from .core import (Decomposition, MultiplyCounter, apply_direct, apply_power,
                    tensor_of_decomposition, tensor_power)
 from .efficacy import (dubiner_exponent, eff_table, exponent_bound,
                        omega_rho_t2112, rho_joint_matrix, t2112_flip_pair)
@@ -161,10 +161,7 @@ def locate_corrupt_term(d, target):
     """Assuming exactly one corrupted term, removing the culprit leaves a
     residual equal to minus one rank-1 tensor; a residual is rank one exactly
     when all three of its matricizations are.  Returns the first such index."""
-    from .core import Decomposition
-
     def rank1(resid):
-        qi, qk, qj = d.shape.q_i, d.shape.q_k, d.shape.q_j
         groups = [(0, 1), (2, 3), (4, 5)]
         for axes in groups:
             rest_axes = [a for a in range(6) if a not in axes]

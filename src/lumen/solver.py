@@ -16,51 +16,12 @@ parity of an even number r of bits, which that complement leaves as it is,
 so only verification reads the plan's one flip bit and negates the inner
 product.  A solve reports the final round's strongest flagged cells.
 
-Each plan builds its detection kernel once, as a Detector, screening every
-distinct planned level.  The planted products reach the planted cell only
-through the matmul slots, so a level detects through its matmul slots of
-coefficient 1: a 0/1 mask over the matmul slots (strassen, sw) keeps its
-own decomposition, and any other level with such slots (t2112 at every
-eps) runs the unit terms of exactly those slots, the squared-mass share
-it drops recorded on the plan.  A level with no unit matmul slot runs its
-rank recursion exactly in float64, the sweep kind, and is refused when its
-coefficient spread would destroy double precision at the planned power.
-A mask level is described by its pair-weight matrix W_l and the slots E_l
-it omits, and a plan of masks runs one of two mask kernels.  The
-subset_diag kernel (levels whose E_l is one slot at each off cell and
-none on the diagonal, as t2112's is) gathers its operands once so that
-the k digits each output row forces become an XOR on the row index; each
-off-digit mask is then one einsum whose inner loop runs over all m
-contiguous columns, the XOR on the columns split between a permuted copy
-of half of one operand and a copy of the other per high part of the mask,
-and one gather lays the results out as C.  The masked_matmul kernel (any
-other mask, as sw's; an exact matmul level omits no slot; lumen.masked)
-groups the cells, level by level, by the inner digits they allow, and
-computes each group's cells with one BLAS product over exactly those
-digits.  Groups run depth first, each gathering its operands from its
-parent's, and a later group overwrites the cells of its own that an
-earlier group's box covers, so every cell is written from one product and
-nothing is subtracted; for matmul it is one A @ B.T.  Both kernels build
-their schedule, buffers included, on the first apply.
-
-The variance reads only the W_l; it has one closed form and one oracle.  When
-every W_l is diagonal, as every mask level's is, _flag_cells flags a round
-without any m x m float64 array: V = sizes_x[I] KA[ia, ja] sizes_y[J]
-KB[ib, jb], KA and KB the Kronecker products of the diagonals of the two
-halves of the W_l, and C is screened a block of rows at a time by a float32
-test with a 1e-5 margin, far wider than its error, before the cells that
-pass are scored by the float64 |C| / sqrt(V).  _variance_map sweeps any
-W_l over the outer product of the bucket sizes; it scores the rounds of
-non-diagonal plans, and detect(..., return_scores=True) builds every
-plan's whole score map over it, the oracle of _flag_cells.
-
-A mask plan's flag pass multiplies the unsigned bucket sums.  A mask level
-sends input row I only to output row I, so the bucket signs only multiply
-C[I, J] by s_x[I] s_y[J]; _flag_cells reads only C^2 and |C|, and C is an
-integer below 2^24, exact in float32 either way, so the flags are the
-same bits.  The signs are still drawn each round, so the random streams do
-not move, and the score oracle and the sweep kind, whose rank recursion
-mixes rows, multiply them in.
+Each plan builds its detection kernel once, as a Detector.
+_build_detector says how a planned level is screened and which kind runs
+it; _subset_diag_masks and lumen.masked.schedule describe the two mask
+kernels.  The variance reads only the W_l: _flag_cells holds its closed
+form and _variance_map its oracle, and detect says when each scores a
+round.
 """
 
 from __future__ import annotations
@@ -114,20 +75,16 @@ class PlanError(Exception):
 class Detector:
     """How a plan's detection step runs; built once by _build_detector.
 
-    kind is 'subset_diag' (one einsum per off-digit pattern, over all m
-    columns of XOR-indexed operand rows), 'masked_matmul' (one BLAS product
-    per group of cells that allow the same inner digits on every level;
-    one A @ B.T when no slot is omitted) or 'sweep' (the rank recursion, in
-    float64).  levels are the executable per-level decompositions and
-    rank_product the paper's prod(rank_l) over the planned ones.
-    dropped_var is the largest squared-mass share a level dropped to run
-    its unit matmul slots.  Every
-    kind keeps weights, the transposed pair-weight matrices W_l that the
-    variance reads; the mask kinds keep missing, each level's omitted
-    (i, k, j) slots E_l, from which their kernels are built.  Those
-    kernels' schedules, masks and groups, are built on the first apply and
-    hold buffers that every apply reuses, so a detector must not apply in
-    two threads at once.
+    kind is 'subset_diag' (_subset_diag_masks), 'masked_matmul'
+    (lumen.masked) or 'sweep' (the rank recursion, in float64).  levels
+    are the executable per-level decompositions and rank_product the
+    paper's prod(rank_l) over the planned ones.  dropped_var is the
+    largest squared-mass share a level dropped to run its unit matmul
+    slots.  Every kind keeps weights, the transposed pair-weight matrices
+    W_l that the variance reads; the mask kinds keep missing, each level's
+    omitted (i, k, j) slots E_l, from which their kernel's schedule is
+    built on the first apply.  The schedule holds buffers that every apply
+    reuses, so a detector must not apply in two threads at once.
     """
     kind: str
     levels: tuple
@@ -148,11 +105,11 @@ class Detector:
 
     @property
     def multiplies(self) -> int:
-        """Multiplies one apply executes: the count of the groups schedule
-        for masked_matmul, prod(rank_l) of the executable levels
-        otherwise."""
+        """Multiplies one apply executes: the count of the schedule for
+        masked_matmul, prod(rank_l) of the executable levels otherwise, so
+        reading it builds no schedule for the other kinds."""
         if self.kind == "masked_matmul":
-            return self.groups[2]
+            return self.schedule[2]
         return math.prod(d.rank for d in self.levels)
 
     @cached_property
@@ -163,28 +120,25 @@ class Detector:
         return _half_factors(self.weights)
 
     @cached_property
-    def groups(self) -> tuple:
-        """The masked_matmul kernel's schedule of copies and products,
-        built on the first apply rather than while planning.  Its module
-        is imported here too: a fresh import of lumen is mostly compiling
-        source, and only masked_matmul plans run it."""
+    def schedule(self) -> tuple:
+        """The mask kernel's schedule, _subset_diag_masks or
+        lumen.masked.schedule, built on the first apply rather than while
+        planning.  lumen.masked is imported here too: a fresh import of
+        lumen is mostly compiling source, and only masked_matmul plans run
+        it."""
+        if self.kind == "subset_diag":
+            return _subset_diag_masks(self.missing)
         from . import masked
         return masked.schedule(tuple(d.shape for d in self.levels),
                                self.missing)
 
-    @cached_property
-    def masks(self) -> tuple:
-        """The subset_diag kernel's schedule of gathers, copies and
-        einsums, built on the first apply rather than while planning."""
-        return _subset_diag_masks(self.missing)
-
     def apply(self, A, B, counter: MultiplyCounter | None = None):
         """Scores C of the m x d' aggregates A and B."""
         if self.kind == "subset_diag":
-            return _apply_subset_diag(self.masks, A, B, counter=counter)
+            return _apply_subset_diag(self.schedule, A, B, counter=counter)
         if self.kind == "masked_matmul":
             from .masked import apply
-            return apply(self.groups, A, B, counter=counter)
+            return apply(self.schedule, A, B, counter=counter)
         # the stability screen charges float64's roundoff, so the rank
         # recursion runs in float64; C is scored in float32 like the others
         return apply_power(self.levels, A, B, dtype=np.float64,
@@ -283,27 +237,6 @@ def _stability_scale(d: Decomposition) -> float:
                      * np.abs(t.gamma).max()) for t in d.terms)
 
 
-def _unit_slot_decomposition(t: Tensor):
-    """One unit rank-1 term per matmul slot (i, k, j) of t whose coefficient
-    is 1, and the share (total - kept) / total of t's squared coefficient
-    mass that the other coefficients hold; None when t has no such slot."""
-    M = np.einsum("ikjkij->ikj", t.coeff)
-    unit = np.abs(M - 1.0) < 1e-9
-    if not unit.any():
-        return None
-    qi, qk, qj = t.shape.q_i, t.shape.q_k, t.shape.q_j
-    terms = []
-    for i, k, j in np.argwhere(unit):
-        a = np.zeros((qi, qk)); a[i, k] = 1.0
-        b = np.zeros((qj, qk)); b[j, k] = 1.0
-        g = np.zeros((qi, qj)); g[i, j] = 1.0
-        terms.append(Rank1Term(a, b, g))
-    total = float((t.coeff ** 2).sum())
-    # largest first, so the sum reads the values, not their layout
-    kept = float(np.sort(M[unit] ** 2)[::-1].cumsum()[-1])
-    return Decomposition(t.shape, tuple(terms)), (total - kept) / total
-
-
 def _unit_mask(t: Tensor):
     """M[i, k, j] = coeff[i, k, j, k, i, j] when t is a unit-coefficient
     subset-of-matmul tensor (every coefficient 0 or 1, on a matmul slot),
@@ -325,14 +258,20 @@ def _pair_weight_matrix(t: Tensor) -> np.ndarray:
 def _build_detector(levels) -> Detector:
     """Screen each distinct planned level once and fix how detection runs.
 
-    A level that is a unit-coefficient subset of matmul keeps its own
-    decomposition; any other level with matmul slots of coefficient 1 runs
-    the unit-term decomposition of exactly those slots; a level with none
-    runs exactly, and raises PlanError when its coefficient spread would
-    destroy double precision at this power.  The kind is 'subset_diag'
-    when every executable level is a q = 2 mask that omits one slot at
-    each off cell and none on the diagonal, else 'masked_matmul' when
-    every executable level is a mask, else 'sweep'.
+    The planted products reach the planted cell only through the matmul
+    slots, so a level detects through its matmul slots of coefficient 1.
+    Each level's tensor is built once and its matmul-slot coefficients
+    read once.  A level that is a unit-coefficient subset of matmul keeps
+    its own decomposition; any other level with matmul slots of
+    coefficient 1 runs one unit term per such slot, the squared-mass share
+    of its other coefficients recorded as dropped.  Either way the level
+    is a mask, and its W_l is the diagonal of the k slots it keeps at each
+    output cell.  A level with neither runs exactly, keeps the full W_l,
+    and raises PlanError when its coefficient spread would destroy double
+    precision at this power.  The kind is 'subset_diag' when every
+    executable level is a q = 2 mask that omits one slot at each off cell
+    and none on the diagonal, else 'masked_matmul' when every executable
+    level is a mask, else 'sweep'.
     """
     L = len(levels)
     screened = {}
@@ -340,34 +279,48 @@ def _build_detector(levels) -> Detector:
         if id(d) in screened:
             continue
         t = tensor_of_decomposition(d)
-        exec_d, exec_t, share = d, t, 0.0
-        mask = _unit_mask(t)
-        if mask is None:
-            unit = _unit_slot_decomposition(t)
-            if unit is not None:
-                exec_d, share = unit
-                exec_t = tensor_of_decomposition(exec_d)
-                mask = _unit_mask(exec_t)
-            # relative error estimate of the full recursion: u * scale^L
-            elif _stability_scale(d) ** L * 1.1e-16 > STABILITY_TOL:
-                raise PlanError(
-                    f"a level with no unit matmul slot loses double "
-                    f"precision in its rank recursion at {L} levels")
-        screened[id(d)] = (exec_d, _pair_weight_matrix(exec_t).T, mask,
-                           share)
+        M = np.einsum("ikjkij->ikj", t.coeff)
+        unit = np.abs(M - 1.0) < 1e-9
+        # all 0/1, and every 1 on a matmul slot: a mask already
+        if (np.isin(t.coeff, (0.0, 1.0)).all()
+                and M.sum() == t.coeff.sum()):
+            exec_d, share = d, 0.0
+        elif unit.any():
+            qi, qk, qj = t.shape.q_i, t.shape.q_k, t.shape.q_j
+            terms = []
+            for i, k, j in np.argwhere(unit):
+                a = np.zeros((qi, qk)); a[i, k] = 1.0
+                b = np.zeros((qj, qk)); b[j, k] = 1.0
+                g = np.zeros((qi, qj)); g[i, j] = 1.0
+                terms.append(Rank1Term(a, b, g))
+            exec_d = Decomposition(t.shape, tuple(terms))
+            total = float((t.coeff ** 2).sum())
+            # largest first, so the sum reads the values, not their layout
+            kept = float(np.sort(M[unit] ** 2)[::-1].cumsum()[-1])
+            share = (total - kept) / total
+        # relative error estimate of the full recursion: u * scale^L
+        elif _stability_scale(d) ** L * 1.1e-16 > STABILITY_TOL:
+            raise PlanError(
+                f"a level with no unit matmul slot loses double "
+                f"precision in its rank recursion at {L} levels")
+        else:
+            screened[id(d)] = (d, _pair_weight_matrix(t).T, None, 0.0)
+            continue
+        screened[id(d)] = (exec_d, np.diag(unit.sum(axis=1, dtype=float)
+                                           .ravel()), unit, share)
     exec_levels, weights, masks, shares = zip(
         *(screened[id(d)] for d in levels))
     common = dict(levels=exec_levels, weights=weights,
                   dropped_var=max(shares),
                   rank_product=math.prod(d.rank for d in levels))
-    if any(M is None for M in masks):
+    if any(U is None for U in masks):
         return Detector("sweep", **common)
-    missing = tuple(tuple(tuple(map(int, e)) for e in np.argwhere(M == 0))
-                    for M in masks)
+    missing = tuple(tuple(tuple(map(int, e)) for e in np.argwhere(~U))
+                    for U in masks)
     # argwhere lists E_l by i first: one slot at (0, 1), then one at (1, 0)
-    if all(M.shape == (2, 2, 2)
+    if all(U.shape == (2, 2, 2)
            and [(i, j) for i, _, j in E] == [(0, 1), (1, 0)]
-           for M, E in zip(masks, missing)):
+           for U, E in zip(masks, missing)):
         return Detector("subset_diag", missing=missing, **common)
     return Detector("masked_matmul", missing=missing, **common)
 
@@ -408,13 +361,15 @@ def _subset_diag_masks(missing) -> tuple:
     copies of A' by a third but add half again to B_lo: at b = 1 an apply
     holds 4.5 m^2 floats (workspace 2 m^2, B_lo 1.5 m^2, D m^2), and b = 2
     was 5-8% faster at L = 10 with 5.25 m^2.  The workspace and B_lo live
-    in the schedule, so an apply allocates only D and C.  Returns
-    (L, b, gathers, steps, Z, work, B_lo):
+    in the schedule, so an apply allocates only D and C.  Both are
+    allocated first, and every view is made where its layout is computed.
+    Returns (L, b, gathers, starts, steps, Z, work, B_lo):
 
     - gathers: for each S_lo, the rows Y & S_lo = 0 and the vector W_S_lo
       such that B.flat[Y ^ W_S_lo] is row Y ^ (Delta & S_lo) of B' with its
       columns XOR-permuted by S_lo: block S_lo of the buffer B_lo.  Block 0
       is B' itself, and the same rows and W gather A'.
+    - starts: the first row of each block of B_lo, then its row count.
     - steps: one (copy, einsums) per S_hi, in depth-first order.  The rows
       X & S_hi = 0 of A', columns XOR-permuted by S_hi, are kept in the
       workspace work, which holds A' and one slot per |S_hi|.  copy (None
@@ -450,6 +405,9 @@ def _subset_diag_masks(missing) -> tuple:
         gathers.append((P[P & s == 0],
                         ((Ps << L) | (F0 ^ (Ps & Delta))) ^ (Delta & s)))
         starts.append(starts[-1] + len(gathers[-1][0]))
+    f32 = np.float32
+    work = np.empty((2 * m - (1 << b), m), dtype=f32)
+    B_lo = np.empty((starts[-1], m), dtype=f32)
     steps = []
 
     def visit(S_hi, slot, parent, top):
@@ -460,19 +418,24 @@ def _subset_diag_masks(missing) -> tuple:
             offset, shape, strides = _row_digits(
                 levels(S_hi ^ bit[top], False), {top: 0}, row)
             run = size * bit[top]
-            copy = (tuple(shape + [m // (2 * bit[top]), 2, bit[top]]),
-                    slot * row, parent * row + offset + run,
-                    tuple(strides + [2 * run, -run, size]))
+            shape = tuple(shape + [m // (2 * bit[top]), 2, bit[top]])
+            copy = (np.ndarray(shape, f32, work, slot * row),
+                    np.ndarray(shape, f32, work, parent * row + offset + run,
+                               tuple(strides + [2 * run, -run, size])))
         einsums = []
         for s in range(1 << b):
             ao, shape, a_st = _row_digits(rows, dict.fromkeys(
                 levels(s, True), 0), row)
             bo, _, b_st = _row_digits(levels(s, False), {
                 l: delta[l] for l in levels(S_hi, True)}, row)
-            einsums.append((S_hi | s, tuple(shape + [m]), slot * row + ao,
-                            tuple(a_st + [size]), starts[s] * row + bo,
-                            tuple(b_st + [size]),
-                            list(range(len(shape) + 1))))
+            shape = tuple(shape + [m])
+            einsums.append((
+                S_hi | s,
+                np.ndarray(shape, f32, work, slot * row + ao,
+                           tuple(a_st + [size])),
+                np.ndarray(shape, f32, B_lo, starts[s] * row + bo,
+                           tuple(b_st + [size])),
+                list(range(len(shape)))))
         steps.append((copy, einsums))
         for l in range(top):      # each child adds a more significant digit
             visit(S_hi | bit[l], slot + (1 << len(rows)), slot, l)
@@ -481,17 +444,7 @@ def _subset_diag_masks(missing) -> tuple:
     lo = np.arange(1 << b)[:, None]
     Jh, Jl = P >> b, P & ((1 << b) - 1)
     Z = (Jh << (b + L)) | ((lo ^ Jl) << L) | (Jh << b) | lo
-    work = np.empty((2 * m - (1 << b), m), dtype=np.float32)
-    B_lo = np.empty((starts[-1], m), dtype=np.float32)
-    f32 = np.float32
-    steps = [(None if copy is None else (
-        np.ndarray(copy[0], f32, work, copy[1]),
-        np.ndarray(copy[0], f32, work, copy[2], copy[3])),
-        [(S, np.ndarray(shape, f32, work, ao, a_st),
-          np.ndarray(shape, f32, B_lo, bo, b_st), axes)
-         for S, shape, ao, a_st, bo, b_st, axes in einsums])
-        for copy, einsums in steps]
-    return L, b, gathers, steps, Z, work, B_lo
+    return L, b, gathers, starts, steps, Z, work, B_lo
 
 
 def _xor_take(X, rows, W, out):
@@ -517,13 +470,11 @@ def _apply_subset_diag(masks, A, B, counter: MultiplyCounter | None = None):
     cell's sum_K |A[I, K] B[J, K]| < 2^24.  The multiply count is exactly
     prod(rank_l), as in the rank recursion.
     """
-    L, b, gathers, steps, Z, work, B_lo = masks
+    L, b, gathers, starts, steps, Z, work, B_lo = masks
     m = A.shape[0]
     _xor_take(A, *gathers[0], work[:m])
-    start = 0
-    for rows, W in gathers:
+    for (rows, W), start in zip(gathers, starts):
         _xor_take(B, rows, W, B_lo[start:start + len(rows)])
-        start += len(rows)
     D = np.empty((m, m), dtype=np.float32)
     for copy, einsums in steps:
         if copy is not None:
@@ -887,12 +838,16 @@ def detect(state: BucketState, plan: SolverPlan,
 
     sigma is the square root of the realized-size variance; cells with zero
     variance never flag.  When every W_l is diagonal and no scores are
-    asked for, _flag_cells flags C by the closed form; a mask kernel then
-    multiplies the unsigned aggregates, since the bucket signs only flip
-    the sign of C's cells there.  Otherwise the whole float64 score map is
-    built from the signed aggregates over the swept _variance_map, the
-    oracle, and return_scores returns it with C and V without the half
-    factors.
+    asked for, _flag_cells flags C by the closed form.  A mask kernel then
+    multiplies the unsigned aggregates: a mask level sends input row I only
+    to output row I, so the bucket signs only multiply C[I, J] by s_x[I]
+    s_y[J], and _flag_cells reads only C^2 and |C| of an integer C below
+    2^24, exact in float32 either way, so the flags are the same bits.
+    The signs are still drawn each round, so the random streams do not
+    move.  Otherwise the whole float64 score map is built from the signed
+    aggregates over the swept _variance_map, the oracle, and return_scores
+    returns it with C and V without the half factors; the sweep kind, whose
+    rank recursion mixes rows, always multiplies the signs in.
     """
     det = plan.detector
     flag_pass = (not return_scores and plan.detect_sigma > 0

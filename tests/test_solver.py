@@ -191,6 +191,16 @@ class TestPlanUniform:
         with pytest.raises(PlanError):
             plan_uniform(256, 0.8, d, d=128)
 
+    def test_no_positive_efficacy_refused(self):
+        """strassen with every gamma negated has eff(T) = sqrt 8 but no
+        positive efficacy entry, so no threshold set exists."""
+        d = strassen_decomposition()
+        negated = Decomposition(d.shape, tuple(
+            dataclasses.replace(t, gamma=-t.gamma) for t in d.terms))
+        with pytest.raises(PlanError, match=(
+                "^tensor has no positive efficacy entries$")):
+            plan_uniform(64, 0.8, negated, d=256)
+
     def test_unexpandable_plan_names_the_cause(self):
         """At d = 4 no subset family covers a round's coordinates at any N,
         so no configuration runs, and the refusal says why."""
@@ -374,7 +384,7 @@ def _check_subset_diag(levels, seed):
     A = rng.standard_normal((2 ** L, 2 ** L)).astype(np.float32)
     B = rng.standard_normal((2 ** L, 2 ** L)).astype(np.float32)
     counter = MultiplyCounter()
-    C = _apply_subset_diag(det.masks, A, B, counter=counter)
+    C = _apply_subset_diag(det.schedule, A, B, counter=counter)
     ref = apply_power(det.levels, A, B, dtype=np.float64)
     assert np.abs(C - ref).max() <= 1e-4 * np.abs(ref).max()
     assert counter.count == math.prod(d.rank for d in det.levels)
@@ -405,7 +415,7 @@ class TestSubsetDiagKernel:
         rng = np.random.default_rng(m + n)
         A = rng.integers(-4, 5, (m, m)).astype(np.float32)
         B = rng.integers(-4, 5, (m, m)).astype(np.float32)
-        C = _apply_subset_diag(det.masks, A, B)
+        C = _apply_subset_diag(det.schedule, A, B)
         assert np.array_equal(C, apply_power(det.levels, A, B,
                                              dtype=np.float64))
 
@@ -426,7 +436,7 @@ class TestSubsetDiagKernel:
                                      for l in range(L)))
         A, B = _integer_operands(det, 100 * L + first)
         counter = MultiplyCounter()
-        C = _apply_subset_diag(det.masks, A, B, counter=counter)
+        C = _apply_subset_diag(det.schedule, A, B, counter=counter)
         assert np.array_equal(C, apply_power(det.levels, A, B,
                                              dtype=np.float64))
         assert counter.count == 6 ** L
@@ -437,7 +447,7 @@ class TestSubsetDiagKernel:
         bit, on integer operands."""
         det = _build_detector([t2112()] * 10)
         A, B = _integer_operands(det, 10)
-        C = _apply_subset_diag(det.masks, A, B)
+        C = _apply_subset_diag(det.schedule, A, B)
         assert np.array_equal(C, masked.apply(masked.schedule(
             tuple(d.shape for d in det.levels), det.missing), A, B))
 
@@ -449,7 +459,7 @@ class TestSubsetDiagKernel:
         A, B = _integer_operands(det, 11)
         tracemalloc.start()
         try:
-            masks = det.masks
+            masks = det.schedule
             _apply_subset_diag(masks, A, B)
             _apply_subset_diag(masks, A, B)
             peak = tracemalloc.get_traced_memory()[1]
@@ -504,7 +514,7 @@ class TestMaskedMatmulKernel:
         assert np.array_equal(C, apply_power(det.levels, A, B,
                                              dtype=np.float64))
         assert counter.count == det.multiplies == _sw_multiplies(L)
-        assert det.multiplies == _scheduled_multiplies(det.groups)
+        assert det.multiplies == _scheduled_multiplies(det.schedule)
         assert (det.multiplies == 9 ** L) == (L <= 7)
         assert det.rank_product == 6 ** L
 
@@ -513,10 +523,10 @@ class TestMaskedMatmulKernel:
         1,122 products at 2.09e9 multiplies, where its untrimmed boxes
         would run 9^10 = 3.49e9.  Schedule only."""
         det = _build_detector(_masked_levels("sw-reflected", 5))
-        ops = det.groups[0]
+        ops = det.schedule[0]
         assert sum(out is not None for _, _, out in ops) == 1122
         assert det.multiplies == _sw_multiplies(10) == 2090081169
-        assert det.multiplies == _scheduled_multiplies(det.groups)
+        assert det.multiplies == _scheduled_multiplies(det.schedule)
 
     @pytest.mark.parametrize("L", (1, 2, 3, 5))
     def test_matmul_is_one_blas_product(self, L):
@@ -603,7 +613,7 @@ class TestMaskedMatmulKernel:
         plan = plan_uniform(128, 0.9, d, d=256)
         det = plan.detector
         assert plan.N == 4 and len(det.levels) == 8
-        assert sum(out is not None for _, _, out in det.groups[0]) == 1
+        assert sum(out is not None for _, _, out in det.schedule[0]) == 1
         assert det.multiplies == 2 ** 4 * det.d_prime * 2 ** 4
         _check_masked_matmul(det.levels, 128)
 
@@ -673,7 +683,7 @@ def _check_masked_matmul(levels, seed):
     assert C.dtype == np.float32
     assert np.array_equal(C, apply_power(det.levels, A, B, dtype=np.float64))
     assert counter.count == det.multiplies == _scheduled_multiplies(
-        det.groups)
+        det.schedule)
 
 
 def _count_variance_cases():
@@ -811,6 +821,24 @@ class TestDetector:
         other = plan_uniform(64, 0.8, t2112(), d=256, reps=1)
         solve_uniform(inst, t2112(), plan=other, seed=0)
         assert built == [len(plan.levels), len(other.levels)]
+
+    @pytest.mark.parametrize("lsh", [False, True])
+    def test_multiplies_builds_no_schedule(self, monkeypatch, lsh):
+        """A t2112 plan at n=4096, d=256 runs L = 12 levels, whose
+        subset_diag schedule would allocate about 235 MB; its multiplies
+        are prod(rank_l), read without building it."""
+        def refuse(missing):
+            raise AssertionError("schedule built to count multiplies")
+
+        if lsh:
+            plan = plan_lsh(4096, rho_joint_matrix(0.8), t2112(),
+                            t2112_flip_pair(0.8), d=256)
+        else:
+            plan = plan_uniform(4096, 0.8, t2112(), d=256)
+        assert plan.kernel == "subset_diag" and len(plan.levels) == 12
+        monkeypatch.setattr(solver, "_subset_diag_masks", refuse)
+        assert plan.detector.multiplies == 6 ** 12
+        assert "schedule" not in vars(plan.detector)
 
     @pytest.mark.parametrize("name, eps", [
         (name, eps) for name in ("strassen", "sw", "t2112")
